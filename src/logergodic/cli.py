@@ -19,11 +19,24 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import ergodic, pricing, rotation, stochastic, trading
+from . import pricing, rotation, stochastic, trading
 from .ergodic import EmoConfig, construct_z_gbm
-from .stochastic import GbmParams, PathKind, SamplePath, TimeGrid, path_seed, simulate_wiener
+from .stochastic import GbmParams, PathKind, TimeGrid, path_seed, simulate_wiener
 
 _THETA_FIXTURES = {"sqrt2": rotation.SQRT2, "golden": rotation.GOLDEN_CONJUGATE}
+
+_GBM_DEFAULTS = {"mu": 0.1, "sigma": 0.2, "s0": 100.0, "T": 1.0, "dt": 1e-3}
+
+# Every subcommand setting, by its config-file key; click options carry the same names.
+DEFAULTS = {
+    "simulate": {**_GBM_DEFAULTS, "n_paths": 1, "wide": False},
+    "trade": {**_GBM_DEFAULTS, "beta": 2.0, "eps": 0.0, "l": 1.0, "s": 1.0},
+    "rotate": {"theta": "sqrt2", "n": 1_000_000, "x0": 0.0,
+               "intervals": "0.0:0.25,0.2:0.5,0.5:1.0", "arcs": "0.1,0.25,0.5"},
+    "price": {"taus": "0.25,0.5,0.75", "zs": "0.03,0.05,0.08", "xs": "50,100,150",
+              "r": 0.05, "K": math.e**math.e, "T": 1.0, "beta": 2.0, "mu": 0.1,
+              "sigma": 0.2, "wT": 0.3, "s_t0": 100.0, "t": 1.0},
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -39,14 +52,13 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(flag_value, config: dict, section: str, key: str, default):
-    """Precedence: explicit flag > config-file entry > default."""
-    if flag_value is not None:
-        return flag_value
-    sect = config.get(section, {})
-    if isinstance(sect, dict) and key in sect:
-        return sect[key]
-    return default
+def _settings(ctx, command: str, flags: dict) -> dict:
+    """Resolve every setting of `command`: explicit flag > config-file section > default."""
+    section = ctx.obj["config"].get(command, {})
+    if not isinstance(section, dict):
+        section = {}
+    return {key: flags[key] if flags.get(key) is not None else section.get(key, default)
+            for key, default in DEFAULTS[command].items()}
 
 
 def _write_manifest(out: Path, command: str, resolved: dict, outputs: list[str]) -> None:
@@ -64,14 +76,18 @@ def _write_table(out: Path, stem: str, rows: list[dict], fmt: str) -> str:
             fh.write("\n")
     else:
         name = f"{stem}.csv"
-        with open(out / name, "w", newline="") as fh:
-            if rows:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                writer.writeheader()
-                writer.writerows(rows)
-            else:
-                fh.write("")
+        header = list(rows[0]) if rows else []
+        _write_csv(out / name, header, ([row[k] for k in header] for row in rows))
     return name
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write one CSV table; no header and no rows make an empty file."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _ensure_out(out: str) -> Path:
@@ -103,14 +119,10 @@ def main(ctx, config_path, seed, out_dir, fmt):
     }
 
 
-def _gbm_from(config: dict, section: str, mu, sigma, s0, t_horizon, dt):
-    mu = _resolve(mu, config, section, "mu", 0.1)
-    sigma = _resolve(sigma, config, section, "sigma", 0.2)
-    s0 = _resolve(s0, config, section, "s0", 100.0)
-    t_horizon = _resolve(t_horizon, config, section, "T", 1.0)
-    dt = _resolve(dt, config, section, "dt", 1e-3)
+def _gbm_from(cfg: dict):
     try:
-        return GbmParams(mu=mu, sigma=sigma, s0=s0), TimeGrid(T=t_horizon, dt=dt)
+        return (GbmParams(mu=cfg["mu"], sigma=cfg["sigma"], s0=cfg["s0"]),
+                TimeGrid(T=cfg["T"], dt=cfg["dt"]))
     except ValueError as e:
         raise click.UsageError(str(e))
 
@@ -119,18 +131,17 @@ def _gbm_from(config: dict, section: str, mu, sigma, s0, t_horizon, dt):
 @click.option("--mu", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
 @click.option("--s0", type=float, default=None)
-@click.option("--t-horizon", type=float, default=None)
+@click.option("--t-horizon", "T", type=float, default=None)
 @click.option("--dt", type=float, default=None)
 @click.option("--n-paths", type=int, default=None)
 @click.option("--wide/--per-path", "wide", default=None,
               help="One wide CSV instead of one file per path.")
 @click.pass_context
-def simulate(ctx, mu, sigma, s0, t_horizon, dt, n_paths, wide):
+def simulate(ctx, **flags):
     """Simulate a seeded GBM ensemble and write price paths."""
-    cfg = ctx.obj["config"]
-    params, grid = _gbm_from(cfg, "simulate", mu, sigma, s0, t_horizon, dt)
-    n_paths = _resolve(n_paths, cfg, "simulate", "n_paths", 1)
-    wide = _resolve(wide, cfg, "simulate", "wide", False)
+    cfg = _settings(ctx, "simulate", flags)
+    params, grid = _gbm_from(cfg)
+    n_paths = cfg["n_paths"]
     if n_paths < 1:
         raise click.UsageError(f"n_paths must be >= 1, got {n_paths}")
     out = _ensure_out(ctx.obj["out"])
@@ -141,14 +152,10 @@ def simulate(ctx, mu, sigma, s0, t_horizon, dt, n_paths, wide):
     for i in range(n_paths):
         w = simulate_wiener(grid, path_seed(seed, i))
         paths.append(stochastic.simulate_gbm(params, w))
-    if wide:
+    if cfg["wide"]:
         name = "paths_wide.csv"
-        with open(out / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"path_{i}" for i in range(n_paths)])
-            t = grid.times()
-            for k in range(grid.n + 1):
-                writer.writerow([repr(float(t[k]))] + [repr(float(p.values[k])) for p in paths])
+        _write_csv(out / name, ["t"] + [f"path_{i}" for i in range(n_paths)],
+                   zip(grid.times().tolist(), *(p.values.tolist() for p in paths)))
         outputs.append(name)
     else:
         for i, p in enumerate(paths):
@@ -164,8 +171,7 @@ def simulate(ctx, mu, sigma, s0, t_horizon, dt, n_paths, wide):
                   fh, indent=2)
         fh.write("\n")
     outputs.append(name)
-    resolved = {"mu": params.mu, "sigma": params.sigma, "s0": params.s0, "T": grid.T,
-                "dt": grid.dt, "n_paths": n_paths, "wide": bool(wide), "seed": seed}
+    resolved = {**cfg, "wide": bool(cfg["wide"]), "seed": seed}
     _write_manifest(out, "simulate", resolved, outputs + ["manifest.json"])
     click.echo(f"wrote {len(outputs)} file(s) to {out}")
 
@@ -176,46 +182,41 @@ def simulate(ctx, mu, sigma, s0, t_horizon, dt, n_paths, wide):
 @click.option("--mu", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
 @click.option("--s0", type=float, default=None)
-@click.option("--t-horizon", type=float, default=None)
+@click.option("--t-horizon", "T", type=float, default=None)
 @click.option("--dt", type=float, default=None)
 @click.option("--beta", type=float, default=None)
 @click.option("--eps", type=float, default=None)
-@click.option("--long-leverage", "lev_l", type=float, default=None)
-@click.option("--short-leverage", "lev_s", type=float, default=None)
+@click.option("--long-leverage", "l", type=float, default=None)
+@click.option("--short-leverage", "s", type=float, default=None)
 @click.option("--literal-indicator", is_flag=True, default=False,
               help="Weight profit sums by class nonemptiness instead of membership.")
 @click.pass_context
-def trade(ctx, input_path, mu, sigma, s0, t_horizon, dt, beta, eps, lev_l, lev_s,
-          literal_indicator):
+def trade(ctx, input_path, literal_indicator, **flags):
     """Run the Z-process trade-timing pipeline on a price path."""
-    cfg = ctx.obj["config"]
-    params, grid = _gbm_from(cfg, "trade", mu, sigma, s0, t_horizon, dt)
-    beta = _resolve(beta, cfg, "trade", "beta", 2.0)
-    eps = _resolve(eps, cfg, "trade", "eps", 0.0)
-    lev_l = _resolve(lev_l, cfg, "trade", "l", 1.0)
-    lev_s = _resolve(lev_s, cfg, "trade", "s", 1.0)
+    cfg = _settings(ctx, "trade", flags)
+    params, grid = _gbm_from(cfg)
     out = _ensure_out(ctx.obj["out"])
     seed = ctx.obj["seed"]
     fmt = ctx.obj["format"]
 
     if input_path:
-        with open(input_path) as fh:
-            price = stochastic.read_path_csv(fh, PathKind.PRICE)
+        try:
+            with open(input_path) as fh:
+                price = stochastic.read_path_csv(fh, PathKind.PRICE)
+        except ValueError as e:
+            raise click.UsageError(f"bad --input {input_path}: {e}")
         grid = price.grid
         logp = stochastic.log_path(price)
-        ito = stochastic.ItoParams(mu=lambda t, x: params.q,
-                                   sigma=lambda t, x: params.sigma, y0=float(logp.values[0]))
         # recover the driving Wiener values from the log path
         w_vals = (logp.values - logp.values[0] - params.q * grid.times()) / params.sigma
         wiener = stochastic.WienerPath(grid=grid, w=w_vals - w_vals[0], seed=-1)
-        z = construct_z_gbm(params, wiener, beta=beta)
     else:
         wiener = simulate_wiener(grid, path_seed(seed, 0))
         price = stochastic.simulate_gbm(params, wiener)
-        z = construct_z_gbm(params, wiener, beta=beta)
+    z = construct_z_gbm(params, wiener, beta=cfg["beta"])
 
     try:
-        rec = trading.detect_recurrences(z, eps=eps)
+        rec = trading.detect_recurrences(z, eps=cfg["eps"])
     except ValueError as e:
         raise click.UsageError(str(e))
     exc = trading.build_excursions(z, rec)
@@ -234,7 +235,7 @@ def trade(ctx, input_path, mu, sigma, s0, t_horizon, dt, beta, eps, lev_l, lev_s
 
     profit = 0.0
     if exc:
-        ledger = trading.build_ledger(z, price, exc, l=lev_l, s=lev_s)
+        ledger = trading.build_ledger(z, price, exc, l=cfg["l"], s=cfg["s"])
         profit = trading.trade_profit(ledger, literal_indicator=literal_indicator)
     summary = {
         "n_excursions": len(exc),
@@ -253,27 +254,20 @@ def trade(ctx, input_path, mu, sigma, s0, t_horizon, dt, beta, eps, lev_l, lev_s
 
     # figure data: price path, and Z with recurrence markers at the level
     t = grid.times()
-    with open(out / "fig1_price.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "price"])
-        for tk, vk in zip(t, price.values):
-            writer.writerow([repr(float(tk)), repr(float(vk))])
+    _write_csv(out / "fig1_price.csv", ["t", "price"], zip(t.tolist(), price.values.tolist()))
     outputs.append("fig1_price.csv")
 
-    rows = [(float(tk), float(vk), 0) for tk, vk in zip(t, z.values)]
-    rows += [(float(tau), 0.0, 1) for tau in rec.taus]
-    rows.sort(key=lambda r: (r[0], r[2]))
-    with open(out / "fig2_zprocess.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "z", "recurrence"])
-        for tk, vk, mk in rows:
-            writer.writerow([repr(tk), repr(vk), mk])
+    taus = np.asarray(rec.taus, dtype=float)
+    fig_t = np.concatenate([t, taus])
+    fig_z = np.concatenate([z.values, np.zeros(len(taus))])
+    mark = np.concatenate([np.zeros(len(t), dtype=int), np.ones(len(taus), dtype=int)])
+    order = np.lexsort((mark, fig_t))  # stable: grid rows before markers at equal t
+    _write_csv(out / "fig2_zprocess.csv", ["t", "z", "recurrence"],
+               zip(fig_t[order].tolist(), fig_z[order].tolist(), mark[order].tolist()))
     outputs.append("fig2_zprocess.csv")
 
-    resolved = {"mu": params.mu, "sigma": params.sigma, "s0": params.s0, "T": grid.T,
-                "dt": grid.dt, "beta": beta, "eps": eps, "l": lev_l, "s": lev_s,
-                "literal_indicator": literal_indicator, "seed": seed,
-                "input": input_path}
+    resolved = {**cfg, "T": grid.T, "dt": grid.dt, "literal_indicator": literal_indicator,
+                "seed": seed, "input": input_path}
     _write_manifest(out, "trade", resolved, outputs + ["manifest.json"])
     click.echo(f"{len(exc)} excursion(s), profit {profit:.6f}; wrote {out}")
 
@@ -288,14 +282,10 @@ def trade(ctx, input_path, mu, sigma, s0, t_horizon, dt, beta, eps, lev_l, lev_s
 @click.option("--arcs", type=str, default=None,
               help="Comma-separated arc lengths for the return-time table.")
 @click.pass_context
-def rotate(ctx, theta, n, x0, intervals, arcs):
+def rotate(ctx, **flags):
     """Rotation diagnostics: frequencies, return times, orbit averages."""
-    cfg = ctx.obj["config"]
-    theta_spec = _resolve(theta, cfg, "rotate", "theta", "sqrt2")
-    n = _resolve(n, cfg, "rotate", "n", 1_000_000)
-    x0 = _resolve(x0, cfg, "rotate", "x0", 0.0)
-    intervals_spec = _resolve(intervals, cfg, "rotate", "intervals", "0.0:0.25,0.2:0.5,0.5:1.0")
-    arcs_spec = _resolve(arcs, cfg, "rotate", "arcs", "0.1,0.25,0.5")
+    cfg = _settings(ctx, "rotate", flags)
+    theta_spec, n, x0 = cfg["theta"], cfg["n"], cfg["x0"]
     out = _ensure_out(ctx.obj["out"])
     fmt = ctx.obj["format"]
     seed = ctx.obj["seed"]
@@ -308,8 +298,8 @@ def rotate(ctx, theta, n, x0, intervals, arcs):
         except (TypeError, ValueError):
             raise click.UsageError(f"unknown theta {theta_spec!r}")
     try:
-        ivals = [tuple(float(v) for v in pair.split(":")) for pair in intervals_spec.split(",")]
-        arc_lengths = [float(v) for v in arcs_spec.split(",")]
+        ivals = [tuple(float(v) for v in pair.split(":")) for pair in cfg["intervals"].split(",")]
+        arc_lengths = [float(v) for v in cfg["arcs"].split(",")]
     except ValueError as e:
         raise click.UsageError(f"bad interval/arc spec: {e}")
 
@@ -349,19 +339,14 @@ def rotate(ctx, theta, n, x0, intervals, arcs):
     emo_cfg = EmoConfig(beta=2.0, T=grid.T, wT=w.terminal)
     strike = 0.5 * float(np.min(price.values))
     theta_path = rotation.theta_process(z, price, K=strike, cfg=emo_cfg)
-    with open(out / "fig3_circle.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "price", "theta", "circle_x", "circle_y"])
-        for tk, sk, th in zip(grid.times(), price.values, theta_path.values):
-            pos = th % 1.0
-            writer.writerow([repr(float(tk)), repr(float(sk)), repr(float(th)),
-                             repr(math.cos(2 * math.pi * pos)),
-                             repr(math.sin(2 * math.pi * pos))])
+    # math.cos/sin per point, not np.cos/np.sin, whose last bits can differ by platform
+    angle = (2 * math.pi * np.mod(theta_path.values, 1.0)).tolist()
+    _write_csv(out / "fig3_circle.csv", ["t", "price", "theta", "circle_x", "circle_y"],
+               zip(grid.times().tolist(), price.values.tolist(), theta_path.values.tolist(),
+                   map(math.cos, angle), map(math.sin, angle)))
     outputs.append("fig3_circle.csv")
 
-    resolved = {"theta": theta_spec, "n": n, "x0": x0, "intervals": intervals_spec,
-                "arcs": arcs_spec, "seed": seed}
-    _write_manifest(out, "rotate", resolved, outputs + ["manifest.json"])
+    _write_manifest(out, "rotate", {**cfg, "seed": seed}, outputs + ["manifest.json"])
     click.echo(f"wrote rotation diagnostics to {out}")
 
 
@@ -369,54 +354,39 @@ def rotate(ctx, theta, n, x0, intervals, arcs):
 @click.option("--taus", type=str, default=None, help="Comma-separated times to maturity.")
 @click.option("--zs", type=str, default=None, help="Comma-separated Z levels.")
 @click.option("--xs", type=str, default=None, help="Comma-separated underlying prices.")
-@click.option("--r", "rate", type=float, default=None)
-@click.option("--k", "strike", type=float, default=None)
-@click.option("--t-horizon", type=float, default=None)
+@click.option("--r", type=float, default=None)
+@click.option("--k", "K", type=float, default=None)
+@click.option("--t-horizon", "T", type=float, default=None)
 @click.option("--beta", type=float, default=None)
 @click.option("--mu", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
-@click.option("--w-terminal", type=float, default=None)
+@click.option("--w-terminal", "wT", type=float, default=None)
 @click.option("--s-t0", type=float, default=None)
-@click.option("--t-valuation", type=float, default=None)
+@click.option("--t-valuation", "t", type=float, default=None)
 @click.pass_context
-def price(ctx, taus, zs, xs, rate, strike, t_horizon, beta, mu, sigma, w_terminal,
-          s_t0, t_valuation):
+def price(ctx, **flags):
     """Sweep the pricing engines side by side over a (tau, z, X) grid."""
-    cfg = ctx.obj["config"]
-    sect = "price"
-    taus = _resolve(taus, cfg, sect, "taus", "0.25,0.5,0.75")
-    zs = _resolve(zs, cfg, sect, "zs", "0.03,0.05,0.08")
-    xs = _resolve(xs, cfg, sect, "xs", "50,100,150")
-    rate = _resolve(rate, cfg, sect, "r", 0.05)
-    strike = _resolve(strike, cfg, sect, "K", math.e**math.e)
-    t_horizon = _resolve(t_horizon, cfg, sect, "T", 1.0)
-    beta = _resolve(beta, cfg, sect, "beta", 2.0)
-    mu = _resolve(mu, cfg, sect, "mu", 0.1)
-    sigma = _resolve(sigma, cfg, sect, "sigma", 0.2)
-    w_terminal = _resolve(w_terminal, cfg, sect, "wT", 0.3)
-    s_t0 = _resolve(s_t0, cfg, sect, "s_t0", 100.0)
-    t_valuation = _resolve(t_valuation, cfg, sect, "t", 1.0)
+    cfg = _settings(ctx, "price", flags)
     out = _ensure_out(ctx.obj["out"])
     fmt = ctx.obj["format"]
 
     try:
-        tau_list = [float(v) for v in str(taus).split(",")]
-        z_list = [float(v) for v in str(zs).split(",")]
-        x_list = [float(v) for v in str(xs).split(",")]
+        tau_list = [float(v) for v in str(cfg["taus"]).split(",")]
+        z_list = [float(v) for v in str(cfg["zs"]).split(",")]
+        x_list = [float(v) for v in str(cfg["xs"]).split(",")]
     except ValueError as e:
         raise click.UsageError(f"bad sweep grid: {e}")
 
+    fixed = {key: cfg[key] for key in ("r", "K", "T", "beta", "mu", "sigma", "wT", "s_t0", "t")}
     rows = []
     for tau in tau_list:
         for z in z_list:
             for x in x_list:
-                row = {"tau": tau, "z": z, "X": x, "K": strike,
+                row = {"tau": tau, "z": z, "X": x, "K": cfg["K"],
                        "closed_form": "", "pde": "", "rotation": "",
                        "rel_gap": "", "flags": "", "error": ""}
                 try:
-                    inputs = pricing.PricingInputs(
-                        r=rate, K=strike, T=t_horizon, beta=beta, mu=mu, sigma=sigma,
-                        tau=tau, z=z, wT=w_terminal, s_t0=s_t0, X=x, t=t_valuation)
+                    inputs = pricing.PricingInputs(tau=tau, z=z, X=x, **fixed)
                     closed = pricing.price_ergodic_bs(inputs)
                     pde = pricing.price_via_pde(inputs)
                     row["closed_form"] = closed.price
@@ -432,10 +402,7 @@ def price(ctx, taus, zs, xs, rate, strike, t_horizon, beta, mu, sigma, w_termina
                     row["error"] = str(e)
                 rows.append(row)
     outputs = [_write_table(out, "pricing_sweep", rows, fmt)]
-    resolved = {"taus": taus, "zs": zs, "xs": xs, "r": rate, "K": strike, "T": t_horizon,
-                "beta": beta, "mu": mu, "sigma": sigma, "wT": w_terminal, "s_t0": s_t0,
-                "t": t_valuation}
-    _write_manifest(out, "price", resolved, outputs + ["manifest.json"])
+    _write_manifest(out, "price", cfg, outputs + ["manifest.json"])
     n_err = sum(1 for r in rows if r["error"])
     click.echo(f"priced {len(rows)} point(s), {n_err} domain error(s); wrote {out}")
 

@@ -20,7 +20,7 @@ with a sanity flag rather than floored at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -63,6 +63,9 @@ class PricingInputs:
     t: float = 0.0  # valuation time (rotation pricer discount)
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.K > 0:
             raise ValueError(f"strike must be positive, got {self.K}")
         if not self.T > 0:

@@ -9,7 +9,6 @@ depend on evaluation order.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,7 +39,6 @@ class PathKind(Enum):
     PRICE = "price"
     LOGPRICE = "logprice"
     ZPROCESS = "zprocess"
-    THETA = "theta"
 
 
 @dataclass(frozen=True)
@@ -116,6 +114,9 @@ class GbmParams:
     s0: float
 
     def __post_init__(self):
+        for name in ("mu", "sigma", "s0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.s0 > 0:
             raise ValueError(f"s0 must be positive, got {self.s0}")
         if not self.sigma > 0:
@@ -139,6 +140,10 @@ class SamplePath:
             raise ValueError(
                 f"path has {len(self.values)} values, grid expects {self.grid.n + 1}"
             )
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"path values must be finite, got {self.values[bad[0]]} "
+                             f"at index {bad[0]}")
         if self.kind is PathKind.PRICE and not np.all(np.asarray(self.values) > 0):
             raise ValueError("price paths must be strictly positive")
 
@@ -216,23 +221,30 @@ def path_header(path: SamplePath, seed: int | None = None, params: dict | None =
 def write_path_csv(path: SamplePath, fh: IO[str]) -> None:
     writer = csv.writer(fh)
     writer.writerow(["t", "value"])
-    for t, v in zip(path.grid.times(), path.values):
-        writer.writerow([repr(float(t)), repr(float(v))])
+    values = np.asarray(path.values, dtype=float)
+    writer.writerows(zip(path.grid.times().tolist(), values.tolist()))
 
 
 def read_path_csv(fh: IO[str], kind: PathKind) -> SamplePath:
+    """Read a 't,value' CSV whose times are the uniform grid 0, dt, ..., T."""
     reader = csv.reader(fh)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("path CSV is empty; expected a 't,value' header")
     if header[:2] != ["t", "value"]:
         raise ValueError(f"expected 't,value' header, got {header}")
-    rows = [(float(r[0]), float(r[1])) for r in reader if r]
+    try:
+        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+    except IndexError:
+        raise ValueError(f"path CSV line {reader.line_num} has fewer than 2 fields") from None
+    if len(rows) < 3:
+        raise ValueError(f"path CSV has {len(rows)} data row(s); a path needs at least 3")
     t = np.array([r[0] for r in rows])
     v = np.array([r[1] for r in rows])
-    dt = float(t[1] - t[0])
-    grid = TimeGrid(T=float(t[-1]), dt=dt)
+    if t[0] != 0.0:
+        raise ValueError(f"path CSV times must start at 0, got t = {t[0]}")
+    grid = TimeGrid(T=float(t[-1]), dt=float(t[1] - t[0]))
+    # same tolerance as TimeGrid's check that dt divides T
+    if len(t) != grid.n + 1 or not np.max(np.abs(t - grid.times())) <= 1e-9 * max(1.0, grid.T):
+        raise ValueError(f"path CSV times are not the uniform grid 0, {grid.dt!r}, ..., {grid.T!r}")
     return SamplePath(grid=grid, values=v, kind=kind)
-
-
-def write_json_header(path: SamplePath, fh: IO[str], seed: int | None = None,
-                      params: dict | None = None) -> None:
-    json.dump(path_header(path, seed=seed, params=params), fh, indent=2)

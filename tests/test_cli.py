@@ -7,7 +7,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from logergodic import validation
+from logergodic import (
+    EmoConfig,
+    GbmParams,
+    TimeGrid,
+    construct_z_gbm,
+    detect_recurrences,
+    path_seed,
+    simulate_gbm,
+    simulate_wiener,
+    theta_process,
+    validation,
+)
 from logergodic.cli import main
 from logergodic.validation import CriterionResult
 
@@ -20,6 +31,96 @@ def runner():
 def read_csv(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def expected_csv(header: list[str], *columns) -> bytes:
+    """CSV bytes built by hand: repr of each Python value, CRLF line ends."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*columns)]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+@pytest.mark.parametrize(
+    "command, section, flag, key, flag_value",
+    [
+        ("simulate", {"n_paths": 2, "dt": 0.01}, ["--n-paths", "1"], "n_paths", 1),
+        ("trade", {"l": 2.0, "dt": 0.01}, ["--long-leverage", "0.5"], "l", 0.5),
+        ("rotate", {"theta": "golden", "n": 2000}, ["--theta", "sqrt2"], "theta", "sqrt2"),
+        ("price", {"K": 20.0, "taus": "0.5", "zs": "0.05", "xs": "100"}, ["--k", "30"], "K",
+         30.0),
+    ],
+    ids=["simulate", "trade", "rotate", "price"],
+)
+def test_config_file_with_flag_override(runner, tmp_path, command, section, flag, key,
+                                        flag_value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({command: section}))
+    for name, extra, value in [("from_config", [], section[key]),
+                               ("flag_wins", flag, flag_value)]:
+        out = tmp_path / name
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), command] + extra)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"][key] == value
+        # the flag overrides one key; the config file still supplies the others
+        assert {k: manifest["config"][k] for k in section if k != key} == {
+            k: v for k, v in section.items() if k != key}
+        assert manifest["outputs"] == sorted(p.name for p in out.iterdir())
+
+
+class TestArtefactFormat:
+    """The figure and path CSVs, rebuilt from the library arrays."""
+
+    params = GbmParams(mu=0.1, sigma=0.2, s0=100.0)
+
+    def test_simulate_paths(self, runner, tmp_path):
+        grid = TimeGrid(T=1.0, dt=0.01)
+        t = floats(grid.times())
+        prices = [floats(simulate_gbm(self.params, simulate_wiener(grid, path_seed(5, i))).values)
+                  for i in range(2)]
+        args = ["--seed", "5", "simulate", "--dt", "0.01", "--n-paths", "2"]
+        for out, extra in (("a", []), ("b", ["--wide"])):
+            result = runner.invoke(main, ["--out", str(tmp_path / out)] + args + extra)
+            assert result.exit_code == 0, result.output
+        assert (tmp_path / "a" / "path_0000.csv").read_bytes() == expected_csv(
+            ["t", "value"], t, prices[0])
+        assert (tmp_path / "b" / "paths_wide.csv").read_bytes() == expected_csv(
+            ["t", "path_0", "path_1"], t, *prices)
+
+    def test_trade_figures(self, runner, tmp_path):
+        grid = TimeGrid(T=1.0, dt=0.001)
+        w = simulate_wiener(grid, path_seed(2, 0))
+        price = simulate_gbm(self.params, w)
+        z = construct_z_gbm(self.params, w, beta=2.0)
+        taus = floats(detect_recurrences(z).taus)
+        rows = [(tk, zk, 0) for tk, zk in zip(floats(grid.times()), floats(z.values))]
+        rows = sorted(rows + [(tau, 0.0, 1) for tau in taus], key=lambda r: (r[0], r[2]))
+        result = runner.invoke(main, ["--seed", "2", "--out", str(tmp_path), "trade",
+                                      "--dt", "0.001"])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "fig1_price.csv").read_bytes() == expected_csv(
+            ["t", "price"], floats(grid.times()), floats(price.values))
+        assert (tmp_path / "fig2_zprocess.csv").read_bytes() == expected_csv(
+            ["t", "z", "recurrence"], *zip(*rows))
+
+    def test_rotate_circle(self, runner, tmp_path):
+        grid = TimeGrid(T=1.0, dt=1e-3)
+        w = simulate_wiener(grid, path_seed(3, 0))
+        price = simulate_gbm(self.params, w)
+        z = construct_z_gbm(self.params, w, beta=2.0)
+        theta = floats(theta_process(z, price, K=0.5 * float(np.min(price.values)),
+                                     cfg=EmoConfig(beta=2.0, T=1.0, wT=w.terminal)).values)
+        angle = [2 * math.pi * (th % 1.0) for th in theta]
+        result = runner.invoke(main, ["--seed", "3", "--out", str(tmp_path), "rotate", "--n",
+                                      "1000", "--intervals", "0.0:0.5", "--arcs", "0.5"])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "fig3_circle.csv").read_bytes() == expected_csv(
+            ["t", "price", "theta", "circle_x", "circle_y"], floats(grid.times()),
+            floats(price.values), theta, [math.cos(a) for a in angle],
+            [math.sin(a) for a in angle])
 
 
 class TestSimulate:
@@ -50,21 +151,6 @@ class TestSimulate:
         assert result.exit_code == 0, result.output
         rows = read_csv(out / "paths_wide.csv")
         assert list(rows[0]) == ["t", "path_0", "path_1", "path_2"]
-
-    def test_config_file_with_flag_override(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"simulate": {"n_paths": 2, "dt": 0.01}}))
-        out1 = tmp_path / "from_config"
-        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out1), "simulate"])
-        assert result.exit_code == 0, result.output
-        assert (out1 / "path_0001.csv").exists()
-        out2 = tmp_path / "flag_wins"
-        result = runner.invoke(
-            main, ["--config", str(cfg), "--out", str(out2), "simulate", "--n-paths", "1"]
-        )
-        assert result.exit_code == 0, result.output
-        assert (out2 / "path_0000.csv").exists()
-        assert not (out2 / "path_0001.csv").exists()
 
     def test_manifest_echoes_resolved_config(self, runner, tmp_path):
         out = tmp_path / "m"
@@ -138,6 +224,27 @@ class TestTrade:
         assert summary["n_excursions"] == 0
         assert summary["profit"] == 0.0
 
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ("", "empty"),
+            ("t,value\n", "0 data row"),
+            ("t,value\n0.0,100.0\n", "1 data row"),
+            ("t,value\n0.0,1.0\n0.1,1.0\n0.2,1.0\n0.4,1.0\n", "uniform grid"),
+            ("t,value\n0.5,1.0\n0.6,1.0\n0.7,1.0\n", "start at 0"),
+            ("t,value\n0.0,1.0\n0.5,inf\n1.0,1.0\n", "must be finite"),
+        ],
+        ids=["empty", "header_only", "one_row", "gap", "late_start", "infinite"],
+    )
+    def test_malformed_input_is_usage_error(self, runner, tmp_path, text, cause):
+        price_csv = tmp_path / "bad.csv"
+        price_csv.write_text(text)
+        result = runner.invoke(
+            main, ["--out", str(tmp_path / "out"), "trade", "--input", str(price_csv)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "bad --input" in result.output and cause in result.output
+
     def test_signal_snapshot_is_stable(self, runner, tmp_path):
         outs = []
         for d in ("s1", "s2"):
@@ -210,6 +317,17 @@ class TestPrice:
         rows = read_csv(out / "pricing_sweep.csv")
         assert all("K > 1" in row["error"] for row in rows)
         assert all(row["closed_form"] == "" for row in rows)
+
+    def test_non_finite_input_is_an_error_row(self, runner, tmp_path):
+        out = tmp_path / "nan"
+        result = runner.invoke(
+            main,
+            ["--out", str(out), "price", "--taus", "0.5", "--zs", "0.05", "--xs", "100",
+             "--mu", "nan"],
+        )
+        assert result.exit_code == 0, result.output
+        rows = read_csv(out / "pricing_sweep.csv")
+        assert [row["error"] for row in rows] == ["mu must be finite, got nan"]
 
     def test_single_point_sweep(self, runner, tmp_path):
         out = tmp_path / "single"

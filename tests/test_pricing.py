@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,13 @@ def base_inputs(**overrides) -> PricingInputs:
     )
     kwargs.update(overrides)
     return PricingInputs(**kwargs)
+
+
+class TestPricingInputs:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PricingInputs)])
+    def test_non_finite_field_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            base_inputs(**{name: math.nan})
 
 
 class TestNormalCdf:

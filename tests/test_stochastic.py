@@ -122,6 +122,13 @@ class TestSimulateGbm:
         with pytest.raises(ValueError):
             GbmParams(mu=0.1, sigma=0.2, s0=0.0)
 
+    @pytest.mark.parametrize("name", ["mu", "sigma", "s0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_param_rejected(self, name, bad):
+        kwargs = {"mu": 0.1, "sigma": 0.2, "s0": 100.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GbmParams(**kwargs)
+
     def test_q_property(self):
         assert GbmParams(mu=0.1, sigma=0.2, s0=1.0).q == pytest.approx(0.08)
 
@@ -204,6 +211,13 @@ class TestLogPath:
         with pytest.raises(ValueError, match="positive"):
             SamplePath(grid=grid, values=np.array([1.0, -1.0, 1.0]), kind=PathKind.PRICE)
 
+    @pytest.mark.parametrize("kind", [PathKind.PRICE, PathKind.ZPROCESS])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_rejected_at_construction(self, kind, bad):
+        grid = TimeGrid(T=1.0, dt=0.5)
+        with pytest.raises(ValueError, match="values must be finite.*index 1"):
+            SamplePath(grid=grid, values=np.array([1.0, bad, 1.0]), kind=kind)
+
 
 class TestSerialization:
     def test_csv_round_trip(self):
@@ -216,6 +230,27 @@ class TestSerialization:
         back = read_path_csv(buf, PathKind.PRICE)
         assert back.grid.compatible(grid)
         np.testing.assert_array_equal(back.values, s.values)
+
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ("", "empty"),
+            ("t,value\r\n", "0 data row"),
+            ("t,value\r\n0.0,100.0\r\n", "1 data row"),
+            ("t,value\r\n0.0,100.0\r\n0.5\r\n1.0,100.0\r\n", "line 3 has fewer than 2"),
+            ("t,value\r\n0.0,100.0\r\n0.5,abc\r\n1.0,100.0\r\n", "could not convert"),
+            ("t,value\r\n0.0,1.0\r\n0.1,1.0\r\n0.2,1.0\r\n0.4,1.0\r\n", "uniform grid"),
+            ("t,value\r\n0.0,1.0\r\n0.1,1.0\r\n0.25,1.0\r\n0.3,1.0\r\n", "uniform grid"),
+            ("t,value\r\n0.5,1.0\r\n0.6,1.0\r\n0.7,1.0\r\n", "start at 0"),
+            ("t,value\r\n0.0,1.0\r\n0.5,inf\r\n1.0,1.0\r\n", "must be finite"),
+            ("t,value\r\n0.0,1.0\r\n0.5,0.0\r\n1.0,1.0\r\n", "strictly positive"),
+        ],
+        ids=["empty", "header_only", "one_row", "short_row", "not_a_number", "gap",
+             "uneven_step", "late_start", "infinite", "zero_price"],
+    )
+    def test_malformed_csv_names_the_cause(self, text, cause):
+        with pytest.raises(ValueError, match=cause):
+            read_path_csv(io.StringIO(text), PathKind.PRICE)
 
     def test_header_contents(self):
         grid = TimeGrid(T=1.0, dt=0.25)
