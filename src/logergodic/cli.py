@@ -52,11 +52,30 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _fits(value, default) -> bool:
+    """Whether a config-file value can stand in for `default`: a JSON int may
+    stand for a float or a 0/1 switch, and a number for a list or theta text."""
+    if isinstance(default, bool):
+        return isinstance(value, int)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, (str, int, float))
+
+
 def _settings(ctx, command: str, flags: dict) -> dict:
     """Resolve every setting of `command`: explicit flag > config-file section > default."""
     section = ctx.obj["config"].get(command, {})
     if not isinstance(section, dict):
-        section = {}
+        raise click.UsageError(f"config {command} must be a JSON object, got {section!r}")
+    for key, default in DEFAULTS[command].items():
+        if key in section and not _fits(section[key], default):
+            raise click.UsageError(
+                f"config {command}.{key} must be {type(default).__name__}, "
+                f"got {section[key]!r}")
     return {key: flags[key] if flags.get(key) is not None else section.get(key, default)
             for key, default in DEFAULTS[command].items()}
 
@@ -111,6 +130,11 @@ def _ensure_out(out: str) -> Path:
 def main(ctx, config_path, seed, out_dir, fmt):
     """Log-ergodic process toolkit: simulation, trade timing, and pricing."""
     config = _load_config(config_path)
+    for key, ok in (("seed", _fits(config.get("seed", 0), 0)),
+                    ("out", isinstance(config.get("out", "out"), str)),
+                    ("format", config.get("format", "csv") in ("csv", "json"))):
+        if not ok:
+            raise click.UsageError(f"config {key} cannot be {config[key]!r}")
     ctx.obj = {
         "config": config,
         "seed": seed if seed is not None else config.get("seed", 0),
@@ -177,7 +201,7 @@ def simulate(ctx, **flags):
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), default=None,
+@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Price path CSV (t,value); omitted = simulate one internally.")
 @click.option("--mu", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
@@ -298,8 +322,9 @@ def rotate(ctx, **flags):
         except (TypeError, ValueError):
             raise click.UsageError(f"unknown theta {theta_spec!r}")
     try:
-        ivals = [tuple(float(v) for v in pair.split(":")) for pair in cfg["intervals"].split(",")]
-        arc_lengths = [float(v) for v in cfg["arcs"].split(",")]
+        ivals = [(float(a), float(b))
+                 for a, b in (pair.split(":") for pair in str(cfg["intervals"]).split(","))]
+        arc_lengths = [float(v) for v in str(cfg["arcs"]).split(",")]
     except ValueError as e:
         raise click.UsageError(f"bad interval/arc spec: {e}")
 
@@ -389,15 +414,21 @@ def price(ctx, **flags):
                     inputs = pricing.PricingInputs(tau=tau, z=z, X=x, **fixed)
                     closed = pricing.price_ergodic_bs(inputs)
                     pde = pricing.price_via_pde(inputs)
-                    row["closed_form"] = closed.price
-                    row["pde"] = pde.price
-                    row["rel_gap"] = abs(pde.price - closed.price) / max(abs(closed.price), 1e-300)
                     row["flags"] = "|".join(closed.flags)
+                    errors = [f"{name} price overflows the float range"
+                              for name, res in (("closed-form", closed), ("pde", pde))
+                              if "overflow" in res.flags]
+                    if not errors:
+                        row["closed_form"] = closed.price
+                        row["pde"] = pde.price
+                        row["rel_gap"] = (abs(pde.price - closed.price)
+                                          / max(abs(closed.price), 1e-300))
                     try:
                         rot = pricing.price_rotation_call(inputs)
                         row["rotation"] = rot.price
                     except ValueError as e:
-                        row["error"] = f"rotation: {e}"
+                        errors.append(f"rotation: {e}")
+                    row["error"] = "; ".join(errors)
                 except ValueError as e:
                     row["error"] = str(e)
                 rows.append(row)

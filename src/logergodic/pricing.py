@@ -11,10 +11,16 @@ Three routes are provided and cross-checked:
 * ``price_via_pde`` -- the same value obtained numerically: the valuation
   reduces to a constant-coefficient heat equation, which is solved by kernel
   convolution or finite differences instead of the analytic Gaussian
-  integral.
+  integral.  The convolution route evaluates only the kernel row of the
+  query node, O(nodes); the full-grid solvers ``solve_heat_convolution`` and
+  ``solve_heat_fd`` remain for the cross-solver check (criterion 9) and the
+  finite-difference route.  The heat grid is capped at
+  ``_MAX_NODES_FACTOR * n_nodes`` nodes; a point that would need more raises
+  ``ValueError``.
 
 Both closed forms can return negative values; they are reported as computed
-with a sanity flag rather than floored at zero.
+with a sanity flag rather than floored at zero.  A price beyond the float
+range comes back as a signed infinity flagged "overflow" instead of raising.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ __all__ = [
 # kernel mass outside +-3.9 std is ~1e-4; grids must span at least that much
 _KERNEL_WIDTH_STD = 3.9
 _MASS_TOL = 1e-4
+# a pricing heat grid may hold at most this many times the requested n_nodes
+_MAX_NODES_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -177,18 +185,48 @@ def derive_coefficients(inputs: PricingInputs) -> DerivedCoefficients:
     return DerivedCoefficients(q=q, B=B, eta=eta, p=p, lam=lam, y=y, a=a, b=b)
 
 
-def _valuation_amplitude(c: DerivedCoefficients) -> float:
-    """exp{(y (lam - 2) + p (lam - 2)^2 / 4) / (2 lam)}: the common prefactor
-    of the closed form and the numerical reconstruction."""
+def _valuation_price(inputs: PricingInputs, c: DerivedCoefficients, *factors: float) -> float:
+    """exp(-r tau) * amplitude * factors, the amplitude being
+    exp{(y (lam - 2) + p (lam - 2)^2 / 4) / (2 lam)}, the common prefactor of
+    the closed form and the numerical reconstruction.
+
+    Multiplied out left to right while the amplitude is a float; otherwise
+    summed in log space.  A price beyond the float range is a signed inf.
+    """
     lm2 = c.lam - 2.0
-    return math.exp((c.y * lm2 + 0.25 * c.p * lm2**2) / (2.0 * c.lam))
+    log_amp = (c.y * lm2 + 0.25 * c.p * lm2**2) / (2.0 * c.lam)
+    try:
+        price = math.exp(-inputs.r * inputs.tau) * math.exp(log_amp)
+    except OverflowError:
+        if 0.0 in factors:
+            return 0.0
+        sign = math.prod(math.copysign(1.0, f) for f in factors)
+        log_abs = -inputs.r * inputs.tau + log_amp + sum(math.log(abs(f)) for f in factors)
+        try:
+            return sign * math.exp(log_abs)
+        except OverflowError:
+            return sign * math.inf
+    for f in factors:
+        price *= f
+    return price
+
+
+def _price_result(price: float, payoff: float) -> PriceResult:
+    flags = []
+    if payoff < 0:
+        flags.append("negative_payoff_factor")
+    if price < 0:
+        flags.append("negative_price")
+    if math.isinf(price):
+        flags.append("overflow")
+    return PriceResult(price=price, flags=tuple(flags))
 
 
 def price_ergodic_bs(inputs: PricingInputs) -> PriceResult:
     """Closed-form ergodic Black-Scholes price.
 
     The payoff factor |z| - ln K keeps its sign; a flag is attached when the
-    resulting price is negative.
+    resulting price is negative, and "overflow" when it leaves the float range.
     """
     c = derive_coefficients(inputs)
     two_pl = 2.0 * c.p * c.lam
@@ -196,13 +234,7 @@ def price_ergodic_bs(inputs: PricingInputs) -> PriceResult:
         raise ValueError(f"need 2 p lam > 0, got {two_pl}")
     payoff = abs(inputs.z) - math.log(inputs.K)
     d = math.log(inputs.X / math.log(inputs.K)) / math.sqrt(two_pl)
-    price = math.exp(-inputs.r * inputs.tau) * _valuation_amplitude(c) * payoff * normal_cdf(d)
-    flags = []
-    if payoff < 0:
-        flags.append("negative_payoff_factor")
-    if price < 0:
-        flags.append("negative_price")
-    return PriceResult(price=price, flags=tuple(flags))
+    return _price_result(_valuation_price(inputs, c, payoff, normal_cdf(d)), payoff)
 
 
 # --- heat equation machinery --------------------------------------------------
@@ -275,28 +307,55 @@ def _require_grid_width(hp: HeatProblem) -> None:
         )
 
 
+def _convolution_rows(hp: HeatProblem, blocks: list[tuple[int, int]]) -> np.ndarray:
+    """Rows i0..i1-1 of the trapezoidal convolution, for each (i0, i1) in
+    `blocks`, concatenated: heat_kernel(y[i0:i1, None] - y[None, :]) @ (f * w)."""
+    y = hp.grid_y
+    dy = hp.dy
+    weights = np.full(len(y), dy)
+    weights[0] = weights[-1] = 0.5 * dy
+    fw = hp.initial * weights
+    return np.concatenate([heat_kernel(y[i0:i1, None] - y[None, :], hp.tau_end, hp.eta) @ fw
+                           for i0, i1 in blocks])
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows per block of the full convolution: about 4M kernel entries."""
+    return max(1, (1 << 22) // n)
+
+
 def solve_heat_convolution(hp: HeatProblem) -> np.ndarray:
     """U(., tau_end) by trapezoidal convolution of the initial data with the kernel.
 
-    Direct O(n^2) quadrature; grids at desk scale make this cheap and avoid
-    the periodic wraparound of FFT convolution.  The initial data is treated
-    as zero outside the grid.
+    Direct O(n^2) quadrature over the whole grid; grids at desk scale make
+    this cheap and avoid the periodic wraparound of FFT convolution.  The
+    initial data is treated as zero outside the grid.  ``price_via_pde``
+    evaluates only the kernel row of its query node, O(n); this full-grid
+    solve remains for the cross-solver check (criterion 9).
     """
     _require_grid_width(hp)
-    y = hp.grid_y
-    f = hp.initial
-    dy = hp.dy
-    n = len(y)
-    weights = np.full(n, dy)
-    weights[0] = weights[-1] = 0.5 * dy
-    fw = f * weights
-    out = np.empty(n)
-    chunk = max(1, (1 << 22) // n)
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        diff = y[i0:i1, None] - y[None, :]
-        out[i0:i1] = heat_kernel(diff, hp.tau_end, hp.eta) @ fw
-    return out
+    n = len(hp.grid_y)
+    chunk = _chunk_rows(n)
+    return _convolution_rows(hp, [(i0, min(i0 + chunk, n)) for i0 in range(0, n, chunk)])
+
+
+def _convolution_at(hp: HeatProblem, idx: int) -> float:
+    """solve_heat_convolution(hp)[idx] in O(n).
+
+    The row is computed inside the 4-row block, aligned from the start of
+    its chunk, that holds it, because OpenBLAS's gemv takes rows 4 at a time: on
+    a 2-vCPU host that reproduced the full solve bit for bit on 359 of 360
+    seeded pricing grids, and on all 120 tried with one BLAS thread, while a
+    1-row product (gemv on one row, or np.dot) differed in the last bits on
+    about 4 points in 5.  The one miss (5e-16 relative) was a grid whose full
+    product OpenBLAS split across threads at a row not aligned to 4.
+    """
+    _require_grid_width(hp)
+    n = len(hp.grid_y)
+    chunk = _chunk_rows(n)
+    c0 = idx - idx % chunk
+    b0 = idx - (idx - c0) % 4
+    return float(_convolution_rows(hp, [(b0, min(b0 + 4, c0 + chunk, n))])[idx - b0])
 
 
 def solve_heat_fd(hp: HeatProblem, dt: float, scheme: str = "crank-nicolson") -> np.ndarray:
@@ -364,6 +423,15 @@ def _pricing_heat_problem(
         # snap dy so the query lands on a node of the step-anchored grid
         m = max(1, round(abs(query_y - step_y) / dy))
         dy = abs(query_y - step_y) / m
+    # the snapped step is |ln X - ln ln K| once that gap is below dy: as tau
+    # nears T the span outgrows the gap, and the gap itself can be tiny
+    max_nodes = _MAX_NODES_FACTOR * n_nodes
+    if 2 * (half_span / dy) + 1 > max_nodes:
+        raise ValueError(
+            f"heat grid at tau={inputs.tau}, X={inputs.X} needs about "
+            f"{2 * half_span / dy + 1:.4g} nodes, above the cap of {max_nodes} "
+            f"({_MAX_NODES_FACTOR} x n_nodes)"
+        )
     n_left = math.ceil(half_span / dy)
     n_right = math.ceil(half_span / dy)
     grid_y = step_y + dy * np.arange(-n_left, n_right + 1)
@@ -383,25 +451,22 @@ def price_via_pde(
 ) -> PriceResult:
     """Numerical counterpart of ``price_ergodic_bs``.
 
-    Builds the heat problem of the valuation, solves it by kernel
-    convolution or Crank-Nicolson finite differences, and multiplies the
-    solution at the query point by the discount and reconstruction factor.
-    Agrees with the closed form to solver accuracy.
+    Builds the heat problem of the valuation, solves it at the query node
+    (kernel convolution: that node's row only, O(nodes)) or on the whole grid
+    (Crank-Nicolson finite differences), and multiplies the solution there by
+    the discount and reconstruction factor.  Agrees with the closed form to
+    solver accuracy.  Raises ``ValueError`` when the grid would exceed
+    ``_MAX_NODES_FACTOR * n_nodes`` nodes.
     """
     if solver not in ("convolution", "fd"):
         raise ValueError(f"unknown solver {solver!r}")
+    if not n_nodes >= 1:
+        raise ValueError(f"n_nodes must be at least 1, got {n_nodes}")
     c = derive_coefficients(inputs)
     hp, query_idx = _pricing_heat_problem(inputs, c, n_nodes)
     if solver == "convolution":
-        u = solve_heat_convolution(hp)
+        u_query = _convolution_at(hp, query_idx)
     else:
-        u = solve_heat_fd(hp, dt=hp.tau_end / fd_steps)
-    u_query = float(u[query_idx])
-    price = math.exp(-inputs.r * inputs.tau) * _valuation_amplitude(c) * u_query
+        u_query = float(solve_heat_fd(hp, dt=hp.tau_end / fd_steps)[query_idx])
     payoff = abs(inputs.z) - math.log(inputs.K)
-    flags = []
-    if payoff < 0:
-        flags.append("negative_payoff_factor")
-    if price < 0:
-        flags.append("negative_price")
-    return PriceResult(price=price, flags=tuple(flags))
+    return _price_result(_valuation_price(inputs, c, u_query), payoff)

@@ -71,6 +71,39 @@ def test_config_file_with_flag_override(runner, tmp_path, command, section, flag
         assert manifest["outputs"] == sorted(p.name for p in out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("price", {"price": {"K": "abc"}}, "price.K"),
+        ("simulate", {"simulate": {"dt": "0.01"}}, "simulate.dt"),
+        ("simulate", {"simulate": {"n_paths": 2.5}}, "simulate.n_paths"),
+        ("trade", {"trade": {"beta": True}}, "trade.beta"),
+        ("rotate", {"rotate": {"arcs": None}}, "rotate.arcs"),
+        ("price", {"price": "0.5"}, "config price"),
+        ("simulate", {"seed": "abc"}, "config seed"),
+        ("price", {"format": "xml"}, "config format"),
+    ],
+    ids=["str_for_float", "str_dt", "float_for_int", "bool_for_float", "null_for_str",
+         "section_not_object", "top_level_seed", "top_level_format"],
+)
+def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+    assert result.exit_code == 2, result.output
+    assert key in result.output
+
+
+def test_config_numbers_stand_in_for_floats_and_text(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"price": {"K": 20, "taus": 0.5, "zs": 0.05, "xs": 100}}))
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "price"])
+    assert result.exit_code == 0, result.output
+    rows = read_csv(out / "pricing_sweep.csv")
+    assert [(row["tau"], row["K"], row["error"]) for row in rows] == [("0.5", "20", "")]
+
+
 class TestArtefactFormat:
     """The figure and path CSVs, rebuilt from the library arrays."""
 
@@ -245,6 +278,13 @@ class TestTrade:
         assert result.exit_code == 2, result.output
         assert "bad --input" in result.output and cause in result.output
 
+    def test_directory_input_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["--out", str(tmp_path / "out"), "trade", "--input", str(tmp_path)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "--input" in result.output and "is a directory" in result.output
+
     def test_signal_snapshot_is_stable(self, runner, tmp_path):
         outs = []
         for d in ("s1", "s2"):
@@ -296,6 +336,13 @@ class TestRotate:
             main, ["--out", str(tmp_path / "x"), "rotate", "--theta", "pi-ish"]
         )
         assert result.exit_code == 2
+
+    def test_interval_without_colon_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["--out", str(tmp_path / "x"), "rotate", "--n", "1000", "--intervals", "0.5"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "bad interval/arc spec" in result.output
 
 
 class TestPrice:
@@ -350,6 +397,25 @@ class TestPrice:
         assert result.exit_code == 0, result.output
         rows = json.loads((out / "pricing_sweep.json").read_text())
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflow_and_grid_cap_are_error_rows(self, runner, tmp_path, fmt):
+        out = tmp_path / "big"
+        result = runner.invoke(
+            main,
+            ["--out", str(out), "--format", fmt, "price",
+             "--taus", "0.95,0.99,0.999", "--zs", "0.05", "--xs", "100"],
+        )
+        assert result.exit_code == 0, result.output
+        text = (out / f"pricing_sweep.{fmt}").read_text()
+        assert "Infinity" not in text and "inf" not in text
+        rows = read_csv(out / "pricing_sweep.csv") if fmt == "csv" else json.loads(text)
+        assert [row["error"] for row in rows[:2]] == [
+            "closed-form price overflows the float range; "
+            "pde price overflows the float range"] * 2
+        assert "tau=0.999, X=100.0" in rows[2]["error"] and "cap" in rows[2]["error"]
+        for row in rows:
+            assert row["closed_form"] == row["pde"] == row["rel_gap"] == ""
 
     def test_bad_grid_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logergodic import (
     HeatProblem,
@@ -14,6 +16,7 @@ from logergodic import (
     price_ergodic_bs,
     price_rotation_call,
     price_via_pde,
+    pricing,
     solve_heat_convolution,
     solve_heat_fd,
     transform_bsp_to_heat,
@@ -316,7 +319,85 @@ class TestPriceViaPde:
         with pytest.raises(ValueError, match="solver"):
             price_via_pde(base_inputs(), solver="spectral")
 
+    @pytest.mark.parametrize("n_nodes", [0, -5])
+    def test_nonpositive_node_count_rejected(self, n_nodes):
+        with pytest.raises(ValueError, match="n_nodes must be at least 1"):
+            price_via_pde(base_inputs(), n_nodes=n_nodes)
+
     def test_zero_payoff_neighborhood_prices_near_zero(self):
         k = 1.1
         result = price_via_pde(base_inputs(K=k, z=math.log(k)))
         assert abs(result.price) <= 1e-10
+
+    @given(
+        tau=st.floats(0.05, 0.94),
+        z=st.floats(0.01, 0.2),
+        z_sign=st.sampled_from((-1.0, 1.0)),
+        X=st.floats(20.0, 500.0),
+        n_nodes=st.sampled_from((250, 2000)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_query_row_matches_full_grid_solve(self, tau, z, z_sign, X, n_nodes):
+        inp = base_inputs(tau=tau, z=z_sign * z, X=X)
+        c = derive_coefficients(inp)
+        hp, query_idx = pricing._pricing_heat_problem(inp, c, n_nodes)
+        u_full = float(solve_heat_convolution(hp)[query_idx])
+        expected = pricing._valuation_price(inp, c, u_full)
+        got = price_via_pde(inp, n_nodes=n_nodes).price
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_convolution_builds_no_square_kernel_matrix(self, monkeypatch):
+        inp = base_inputs()
+        hp, _ = pricing._pricing_heat_problem(inp, derive_coefficients(inp), 2000)
+        shapes = []
+
+        def spy(y, tau, eta):
+            shapes.append(np.shape(y))
+            return heat_kernel(y, tau, eta)
+
+        monkeypatch.setattr(pricing, "heat_kernel", spy)
+        price_via_pde(inp)
+        assert shapes and all(rows <= 4 for rows, _ in shapes)
+        assert {cols for _, cols in shapes} == {len(hp.grid_y)}
+
+
+class TestOverflowAndGridCap:
+    @pytest.mark.parametrize("tau", [0.95, 0.99])  # 0.99 needs 12,839 nodes, under the cap
+    def test_price_beyond_float_range_is_flagged(self, tau):
+        inp = base_inputs(tau=tau)
+        for result in (price_ergodic_bs(inp), price_via_pde(inp)):
+            assert "overflow" in result.flags
+            assert result.price == -math.inf
+
+    def test_amplitude_overflow_with_finite_price(self):
+        # the amplitude alone exceeds the float range; the small payoff
+        # factor |z| - ln K = -0.01 brings the price back inside it
+        inp = base_inputs(tau=0.9487, z=math.e - 0.01)
+        c = derive_coefficients(inp)
+        lm2 = c.lam - 2.0
+        with pytest.raises(OverflowError):
+            math.exp((c.y * lm2 + 0.25 * c.p * lm2**2) / (2.0 * c.lam))
+        closed = price_ergodic_bs(inp)
+        numeric = price_via_pde(inp)
+        assert "overflow" not in closed.flags + numeric.flags
+        assert math.isfinite(closed.price) and closed.price < -1e307
+        assert numeric.price == pytest.approx(closed.price, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"tau": 0.999}, {"X": math.e * (1 + 1e-12)}],
+        ids=["tau_near_T", "query_at_step"],
+    )
+    def test_oversized_grid_refused_before_it_is_built(self, monkeypatch, overrides):
+        inp = base_inputs(**overrides)
+        built = []
+
+        def spy(**kwargs):
+            built.append(len(kwargs["grid_y"]))
+            return HeatProblem(**kwargs)
+
+        monkeypatch.setattr(pricing, "HeatProblem", spy)
+        for n_nodes in (250, 2000):
+            with pytest.raises(ValueError, match=r"tau=.*X=.*above the cap"):
+                price_via_pde(inp, n_nodes=n_nodes)
+        assert built == []
