@@ -80,19 +80,22 @@ def _settings(ctx, command: str, flags: dict) -> dict:
             for key, default in DEFAULTS[command].items()}
 
 
-def _write_manifest(out: Path, command: str, resolved: dict, outputs: list[str]) -> None:
-    manifest = {"command": command, "config": resolved, "outputs": sorted(outputs)}
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
+
+
+def _write_manifest(out: Path, command: str, resolved: dict, outputs: list[str]) -> None:
+    _write_json(out / "manifest.json",
+                {"command": command, "config": resolved, "outputs": sorted(outputs)},
+                sort_keys=True)
 
 
 def _write_table(out: Path, stem: str, rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         name = f"{stem}.json"
-        with open(out / name, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        _write_json(out / name, rows)
     else:
         name = f"{stem}.csv"
         header = list(rows[0]) if rows else []
@@ -188,12 +191,9 @@ def simulate(ctx, **flags):
                 stochastic.write_path_csv(p, fh)
             outputs.append(name)
     name = "paths_header.json"
-    with open(out / name, "w") as fh:
-        json.dump([stochastic.path_header(p, seed=seed,
-                                          params={"mu": params.mu, "sigma": params.sigma,
-                                                  "s0": params.s0}) for p in paths],
-                  fh, indent=2)
-        fh.write("\n")
+    header_params = {"mu": params.mu, "sigma": params.sigma, "s0": params.s0}
+    _write_json(out / name, [stochastic.path_header(p, seed=seed, params=header_params)
+                             for p in paths])
     outputs.append(name)
     resolved = {**cfg, "wide": bool(cfg["wide"]), "seed": seed}
     _write_manifest(out, "simulate", resolved, outputs + ["manifest.json"])
@@ -245,7 +245,7 @@ def trade(ctx, input_path, literal_indicator, **flags):
         raise click.UsageError(str(e))
     exc = trading.build_excursions(z, rec)
     stats = trading.sojourn_stats(exc)
-    signals = trading.generate_signals(z, exc)
+    signals = trading.generate_signals(exc)
     ito_params = stochastic.ItoParams(mu=lambda t, x: params.q,
                                       sigma=lambda t, x: params.sigma)
     bounds = trading.oet_bound_report(exc, ito_params)
@@ -271,9 +271,7 @@ def trade(ctx, input_path, literal_indicator, **flags):
         "all_contained": bounds.all_contained,
         "fraction_flagged": bounds.fraction_flagged,
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=str)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     outputs.append("summary.json")
 
     # figure data: price path, and Z with recurrence markers at the level

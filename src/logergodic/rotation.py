@@ -257,7 +257,7 @@ def theta_moment_check(
     if anchor_times is None:
         anchor_times = [grid.T * f for f in (0.25, 0.5, 0.75, 1.0)]
     anchor_times = np.asarray(anchor_times, dtype=float)
-    idx = [grid.index_of(t) for t in anchor_times]
+    idx = grid.index_of(anchor_times)
     values_matrix = np.vstack([p.values for p in ensemble])[:, idx]
     n = values_matrix.shape[0]
     means = values_matrix.mean(axis=0)

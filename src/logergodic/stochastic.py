@@ -47,15 +47,12 @@ class TimeGrid:
 
     T: float
     dt: float
-    t0: float = 0.0
 
     def __post_init__(self):
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"step dt must be positive and finite, got {self.dt}")
-        if self.t0 != 0.0:
-            raise ValueError("grids start at t0 = 0")
         n = self.n
         if n < 2:
             raise ValueError(f"grid needs at least 2 steps, got n={n}")
@@ -72,10 +69,14 @@ class TimeGrid:
         # linspace keeps the endpoint exactly T
         return np.linspace(0.0, self.n * self.dt, self.n + 1)
 
-    def index_of(self, t: float) -> int:
-        """Nearest grid index for time t."""
-        k = round(t / self.dt)
-        return min(max(k, 0), self.n)
+    def index_of(self, t: float | np.ndarray) -> int | np.ndarray:
+        """Nearest grid index for time t, clamped to [0, n]; ties round half
+        to even, as round() does.  An array of times gives an index array."""
+        ta = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(ta)):
+            raise ValueError(f"t must be finite, got {t}")
+        k = np.clip(np.rint(ta / self.dt), 0, self.n).astype(np.intp)
+        return int(k) if k.ndim == 0 else k
 
     def compatible(self, other: "TimeGrid") -> bool:
         return self.n == other.n and math.isclose(self.dt, other.dt, rel_tol=1e-12)

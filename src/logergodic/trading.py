@@ -178,7 +178,6 @@ def detect_recurrences(z: SamplePath, eps: float = 0.0) -> RecurrenceSet:
 
     at_level = np.abs(v) <= eff
     n = len(v)
-    candidates: list[float] = []
 
     # grid points at the level: endpoints always count; with an explicit
     # tolerance every band visit counts, while at the exact-zero floor
@@ -188,27 +187,24 @@ def detect_recurrences(z: SamplePath, eps: float = 0.0) -> RecurrenceSet:
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
     run_starts = edges[::2]
     run_ends = edges[1::2] - 1  # inclusive
-    for k, j in zip(run_starts, run_ends):
-        if eps > 0 or k == 0 or j == n - 1 or np.sign(v[k - 1]) != np.sign(v[j + 1]):
-            candidates.append(float(t[k]))
+    before = v[np.maximum(run_starts - 1, 0)]
+    after = v[np.minimum(run_ends + 1, n - 1)]
+    keep = (eps > 0) | (run_starts == 0) | (run_ends == n - 1) | (np.sign(before) != np.sign(after))
 
     # interpolated sign changes between adjacent off-level points
     off = ~at_level
-    pair = off[:-1] & off[1:] & ((v[:-1] > 0) != (v[1:] > 0))
-    ks = np.flatnonzero(pair)
-    if ks.size:
-        frac = np.abs(v[ks]) / (np.abs(v[ks]) + np.abs(v[ks + 1]))
-        candidates.extend((t[ks] + frac * dt).tolist())
+    ks = np.flatnonzero(off[:-1] & off[1:] & ((v[:-1] > 0) != (v[1:] > 0)))
+    frac = np.abs(v[ks]) / (np.abs(v[ks]) + np.abs(v[ks + 1]))
 
-    candidates.sort()
+    candidates = np.sort(np.concatenate((t[run_starts[keep]], t[ks] + frac * dt)))
     taus: list[float] = []
-    for c in candidates:
+    for c in candidates.tolist():
         if not taus or c - taus[-1] >= dt * (1 - 1e-9):
             taus.append(c)
     return RecurrenceSet(taus=np.asarray(taus), eps=eps)
 
 
-def subgrid_crossing_probability(z: SamplePath, step_vol: float | None = None) -> float:
+def subgrid_crossing_probability(z: SamplePath) -> float:
     """Probability that the continuous path behind the samples touched 0
     strictly inside a grid step whose endpoints share a sign.
 
@@ -216,15 +212,14 @@ def subgrid_crossing_probability(z: SamplePath, step_vol: float | None = None) -
     bridge, which still reaches the level between same-sign samples a and b
     with probability exp(-2ab / (step_vol^2 dt)).  Steps with a grid-point
     sign change or an at-level endpoint are skipped: those returns are
-    already visible to detect_recurrences.  step_vol is the per-unit-time
-    volatility; by default it is estimated from the path increments.
+    already visible to detect_recurrences.  step_vol, the per-unit-time
+    volatility, is estimated from the path increments.
     """
     if z.kind is not PathKind.ZPROCESS:
         raise ValueError(f"subgrid_crossing_probability expects a zprocess path, got {z.kind.value}")
     v = np.asarray(z.values, dtype=float)
     dt = z.grid.dt
-    if step_vol is None:
-        step_vol = float(np.std(np.diff(v))) / math.sqrt(dt)
+    step_vol = float(np.std(np.diff(v))) / math.sqrt(dt)
     if step_vol <= 0:
         return 0.0
     a, b = v[:-1], v[1:]
@@ -243,20 +238,19 @@ def build_excursions(z: SamplePath, rec: RecurrenceSet) -> list[Excursion]:
     Sign and extremum come from the grid values strictly inside the interval;
     argmax ties break to the earliest time so the exit time is deterministic.
     """
-    taus = np.asarray(rec.taus)
-    if len(taus) < 2:
-        return []
+    taus = np.asarray(rec.taus, dtype=float)
     v = np.asarray(z.values)
     t = z.grid.times()
+    # grid indices lo..hi-1 lie strictly inside (tau_i, tau_{i+1})
+    lo = np.searchsorted(t, taus[:-1], "right")
+    hi = np.searchsorted(t, taus[1:], "left")
     out: list[Excursion] = []
-    for i in range(len(taus) - 1):
-        start, end = float(taus[i]), float(taus[i + 1])
-        inside = np.nonzero((t > start) & (t < end))[0]
-        if inside.size == 0:
+    for start, end, a, b in zip(taus[:-1].tolist(), taus[1:].tolist(), lo.tolist(), hi.tolist()):
+        if a >= b:
             continue
-        seg = np.abs(v[inside])
+        seg = np.abs(v[a:b])
         jrel = int(np.argmax(seg))  # argmax returns the first maximum
-        j = inside[jrel]
+        j = a + jrel
         m = float(seg[jrel])
         if m == 0.0:
             continue  # flat-at-level interior; not a sojourn on either side
@@ -353,9 +347,8 @@ def build_ledger(
         raise ValueError(f"ledger needs a price path, got {price.kind.value}")
     if not price.grid.compatible(z.grid):
         raise ValueError("price and z paths must share a grid")
-    pv = np.asarray(price.values)
-    entries = np.array([pv[price.grid.index_of(e.start)] for e in excursions])
-    exits = np.array([pv[price.grid.index_of(e.tM)] for e in excursions])
+    times = np.array([(e.start, e.tM) for e in excursions], dtype=float).reshape(-1, 2)
+    entries, exits = np.asarray(price.values)[price.grid.index_of(times)].T
     return TradeLedger(
         excursions=tuple(excursions), entry_prices=entries, exit_prices=exits, l=l, s=s
     )
@@ -373,7 +366,7 @@ def trade_profit(ledger: TradeLedger, literal_indicator: bool = False) -> float:
     """
     gaps = np.abs(np.asarray(ledger.entry_prices) - np.asarray(ledger.exit_prices))
     below = np.array([e.sign is ExcursionSign.BELOW for e in ledger.excursions], dtype=bool)
-    above = ~below if len(below) else below
+    above = ~below
     if not literal_indicator:
         return float(ledger.l * gaps[below].sum() + ledger.s * gaps[above].sum())
     ind_below = 1.0 if below.any() else 0.0
@@ -381,7 +374,7 @@ def trade_profit(ledger: TradeLedger, literal_indicator: bool = False) -> float:
     return float(ledger.l * ind_below * gaps.sum() + ledger.s * ind_above * gaps.sum())
 
 
-def generate_signals(z: SamplePath, excursions: Sequence[Excursion]) -> SignalReport:
+def generate_signals(excursions: Sequence[Excursion]) -> SignalReport:
     """Trade list: enter at tau_i (long below / short above), exit at t_M_i."""
     signals = tuple(
         Signal(

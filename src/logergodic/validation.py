@@ -104,15 +104,6 @@ def criterion_3() -> CriterionResult:
                    f"on-grid fraction {hits_grid / n_paths:.4f})")
 
 
-def _z_ensemble(t_horizon: float, dt: float, n_paths: int, seed: int) -> list[SamplePath]:
-    params = GbmParams(mu=0.1, sigma=0.2, s0=100.0)
-    grid = TimeGrid(T=t_horizon, dt=dt)
-    return [
-        construct_z_gbm(params, simulate_wiener(grid, path_seed(seed, i)), beta=2.0)
-        for i in range(n_paths)
-    ]
-
-
 def criterion_4() -> CriterionResult:
     """Ergodicity diagnostic small for Z at horizon 100 and below the raw-Y diagnostic."""
     params = GbmParams(mu=0.1, sigma=0.2, s0=100.0)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logergodic import (
     GbmParams,
@@ -47,6 +49,33 @@ class TestTimeGrid:
         assert grid.index_of(0.26) == 1
         assert grid.index_of(1.0) == 4
         assert grid.index_of(5.0) == 4  # clamped
+
+    def test_index_of_scalar_is_int_and_ties_round_half_to_even(self):
+        grid = TimeGrid(T=1.0, dt=0.25)
+        # t/dt = 0.5, 1.5, 2.5 -> 0, 2, 2, as round() gives
+        assert [grid.index_of(t) for t in (0.125, 0.375, 0.625)] == [0, 2, 2]
+        assert type(grid.index_of(0.3)) is int
+        assert grid.index_of(-3.0) == 0
+
+    @given(ts=st.lists(st.floats(-2.0, 3.0) | st.sampled_from([0.05, 0.15, 0.25, 0.35]),
+                       max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_index_of_array_matches_scalar_rule(self, ts):
+        grid = TimeGrid(T=2.0, dt=0.1)
+        got = grid.index_of(np.asarray(ts, dtype=float))
+        assert got.shape == (len(ts),)
+        assert got.tolist() == [min(max(round(t / grid.dt), 0), grid.n) for t in ts]
+        assert got.tolist() == [grid.index_of(t) for t in ts]
+
+    def test_index_of_keeps_the_array_shape(self):
+        grid = TimeGrid(T=1.0, dt=0.25)
+        got = grid.index_of(np.array([[0.0, 0.26], [1.0, 5.0]]))
+        np.testing.assert_array_equal(got, [[0, 1], [4, 4]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+    def test_index_of_rejects_non_finite_time(self, bad):
+        with pytest.raises(ValueError, match="t must be finite"):
+            TimeGrid(T=1.0, dt=0.25).index_of(bad)
 
 
 class TestSimulateWiener:

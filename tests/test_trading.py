@@ -11,6 +11,7 @@ from logergodic import (
     GbmParams,
     ItoParams,
     PathKind,
+    RecurrenceSet,
     SamplePath,
     TimeGrid,
     TradeLedger,
@@ -28,6 +29,7 @@ from logergodic import (
     subgrid_crossing_probability,
     trade_profit,
 )
+from logergodic.trading import _ZERO_FLOOR_REL
 
 GBM = GbmParams(mu=0.1, sigma=0.2, s0=100.0)  # q = 0.08
 
@@ -66,6 +68,12 @@ class TestDetectRecurrences:
         grid_t = np.linspace(0, 1, 101)
         z = zpath((2 * grid_t - 1) ** 2)
         assert detect_recurrences(z).taus.size == 0
+
+    @pytest.mark.parametrize("values", [[1.0, 0.5, 0.0, 0.0, 0.25, 1.0],
+                                        [-1.0, -0.5, 0.0, -0.25, -1.0]])
+    def test_lopsided_tangency_is_not_a_recurrence(self, values):
+        # touches 0 with unequal neighbors on the same side
+        assert detect_recurrences(zpath(values)).taus.size == 0
 
     def test_band_visit_counts_with_explicit_tolerance(self):
         # dips to 0.001 at t = 0.5 without crossing
@@ -303,7 +311,7 @@ class TestTradeProfit:
 class TestGenerateSignals:
     def test_sine_signals(self):
         z = sine_fixture()
-        report = generate_signals(z, build_excursions(z, detect_recurrences(z)))
+        report = generate_signals(build_excursions(z, detect_recurrences(z)))
         rows = report.as_rows()
         assert len(rows) == 2
         assert rows[0]["direction"] == "short"
@@ -314,4 +322,108 @@ class TestGenerateSignals:
         assert rows[1]["exit_time"] == pytest.approx(0.75, abs=1e-3)
 
     def test_empty(self):
-        assert generate_signals(sine_fixture(), []).as_rows() == []
+        assert generate_signals([]).as_rows() == []
+
+
+# --- brute-force oracles --------------------------------------------------------
+# The earlier per-run and per-excursion implementations, kept here only to pin the
+# vectorised ones to the same output.
+
+
+def detect_recurrences_oracle(z: SamplePath, eps: float = 0.0) -> np.ndarray:
+    v = np.asarray(z.values, dtype=float)
+    t = z.grid.times()
+    dt = z.grid.dt
+    vmax = float(np.max(np.abs(v)))
+    if vmax == 0.0:
+        return np.array([0.0])
+    at_level = np.abs(v) <= max(eps, _ZERO_FLOOR_REL * vmax)
+    n = len(v)
+    candidates = []
+    padded = np.concatenate(([False], at_level, [False]))
+    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
+    for k, j in zip(edges[::2], edges[1::2] - 1):
+        if eps > 0 or k == 0 or j == n - 1 or np.sign(v[k - 1]) != np.sign(v[j + 1]):
+            candidates.append(float(t[k]))
+    off = ~at_level
+    ks = np.flatnonzero(off[:-1] & off[1:] & ((v[:-1] > 0) != (v[1:] > 0)))
+    if ks.size:
+        frac = np.abs(v[ks]) / (np.abs(v[ks]) + np.abs(v[ks + 1]))
+        candidates.extend((t[ks] + frac * dt).tolist())
+    candidates.sort()
+    taus = []
+    for c in candidates:
+        if not taus or c - taus[-1] >= dt * (1 - 1e-9):
+            taus.append(c)
+    return np.asarray(taus)
+
+
+def build_excursions_oracle(z: SamplePath, rec: RecurrenceSet) -> list:
+    taus = np.asarray(rec.taus)
+    v = np.asarray(z.values)
+    t = z.grid.times()
+    out = []
+    for i in range(len(taus) - 1):
+        start, end = float(taus[i]), float(taus[i + 1])
+        inside = np.nonzero((t > start) & (t < end))[0]
+        if inside.size == 0:
+            continue
+        seg = np.abs(v[inside])
+        jrel = int(np.argmax(seg))
+        m = float(seg[jrel])
+        if m == 0.0:
+            continue
+        j = inside[jrel]
+        sign = ExcursionSign.ABOVE if v[j] > 0 else ExcursionSign.BELOW
+        out.append(Excursion(i=len(out), start=start, end=end, sign=sign, M=m, tM=float(t[j])))
+    return out
+
+
+@st.composite
+def level_walks(draw):
+    """Short random walks that hit the level exactly, sit on it, touch it and
+    cross it: integer or real steps, shifted by an integer or a real offset."""
+    n = draw(st.integers(2, 60))
+    step = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(-1.0, 1.0)
+    steps = draw(st.lists(step, min_size=n + 1, max_size=n + 1))
+    offset = draw(st.integers(-2, 2).map(float) | st.floats(-2.0, 2.0))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    values = scale * (np.cumsum(steps) - offset)
+    return zpath(values, T=draw(st.sampled_from([1.0, 3.0])))
+
+
+class TestVectorisedTradingMatchesOracles:
+    @given(z=level_walks(), eps=st.sampled_from([0.0, 1e-3, 0.05, 0.5, 5.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_recurrences_and_excursions(self, z, eps):
+        rec = detect_recurrences(z, eps=eps)
+        np.testing.assert_array_equal(rec.taus, detect_recurrences_oracle(z, eps))
+        assert build_excursions(z, rec) == build_excursions_oracle(z, rec)
+
+    @given(z=level_walks(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_excursions_for_taus_on_and_between_grid_points(self, z, data):
+        t = z.grid.times()
+        on_grid = data.draw(st.lists(st.integers(0, z.grid.n), max_size=8))
+        between = data.draw(st.lists(st.floats(0.0, z.grid.T), max_size=8))
+        rec = RecurrenceSet(taus=np.unique(np.concatenate([t[on_grid], between])), eps=0.0)
+        assert build_excursions(z, rec) == build_excursions_oracle(z, rec)
+
+    @given(z=level_walks(), seed=st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_ledger_prices_match_per_excursion_lookup(self, z, seed):
+        grid = z.grid
+        price = SamplePath(grid=grid, values=100.0 * np.exp(
+            simulate_wiener(grid, seed).w), kind=PathKind.PRICE)
+        exc = build_excursions(z, detect_recurrences(z))
+        ledger = build_ledger(z, price, exc, l=1.0, s=1.0)
+        pv = price.values
+        assert ledger.entry_prices.tolist() == [pv[grid.index_of(e.start)] for e in exc]
+        assert ledger.exit_prices.tolist() == [pv[grid.index_of(e.tM)] for e in exc]
+
+    def test_empty_ledger(self):
+        z = sine_fixture()
+        price = SamplePath(grid=z.grid, values=np.ones(z.grid.n + 1), kind=PathKind.PRICE)
+        ledger = build_ledger(z, price, [], l=1.0, s=1.0)
+        assert ledger.entry_prices.shape == ledger.exit_prices.shape == (0,)
+        assert trade_profit(ledger) == 0.0
