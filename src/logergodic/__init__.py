@@ -31,7 +31,6 @@ from .pricing import (
     price_via_pde,
     solve_heat_convolution,
     solve_heat_fd,
-    transform_bsp_to_heat,
 )
 from .rotation import (
     GOLDEN_CONJUGATE,

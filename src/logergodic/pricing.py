@@ -9,14 +9,13 @@ Three routes are provided and cross-checked:
   C = exp(-r tau) * exp{(y(l-2) + p(l-2)^2/4) / (2l)} * (|z| - ln K) * N[d],
   d = ln(X / ln K) / sqrt(2 p l).
 * ``price_via_pde`` -- the same value obtained numerically: the valuation
-  reduces to a constant-coefficient heat equation, which is solved by kernel
-  convolution or finite differences instead of the analytic Gaussian
-  integral.  The convolution route evaluates only the kernel row of the
-  query node, O(nodes); the full-grid solvers ``solve_heat_convolution`` and
-  ``solve_heat_fd`` remain for the cross-solver check (criterion 9) and the
-  finite-difference route.  The heat grid is capped at
-  ``_MAX_NODES_FACTOR * n_nodes`` nodes; a point that would need more raises
-  ``ValueError``.
+  reduces to a constant-coefficient heat equation, whose solution at ln X is
+  one trapezoidal heat-kernel quadrature, O(nodes), instead of the analytic
+  Gaussian integral.  The query point need not sit on a grid node, so the
+  grid has a fixed size at every tau and X: points near maturity or with X
+  near ln K are priced, or flagged "overflow" when the price leaves the
+  float range.  The full-grid solvers ``solve_heat_convolution`` and
+  ``solve_heat_fd`` remain for the cross-solver check (criterion 9).
 
 Both closed forms can return negative values; they are reported as computed
 with a sanity flag rather than floored at zero.  A price beyond the float
@@ -41,7 +40,6 @@ __all__ = [
     "price_rotation_call",
     "derive_coefficients",
     "price_ergodic_bs",
-    "transform_bsp_to_heat",
     "heat_kernel",
     "solve_heat_convolution",
     "solve_heat_fd",
@@ -51,8 +49,6 @@ __all__ = [
 # kernel mass outside +-3.9 std is ~1e-4; grids must span at least that much
 _KERNEL_WIDTH_STD = 3.9
 _MASS_TOL = 1e-4
-# a pricing heat grid may hold at most this many times the requested n_nodes
-_MAX_NODES_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -269,21 +265,6 @@ class HeatProblem:
         return float(self.grid_y[1] - self.grid_y[0])
 
 
-def transform_bsp_to_heat(inputs: PricingInputs, z_grid: np.ndarray) -> HeatProblem:
-    """Map the valuation problem in z onto the heat equation in y.
-
-    y(z) = T^beta z - q (wT - delta) is affine and invertible; the initial
-    data is the clipped terminal payoff weighted by exp(-a y).
-    """
-    c = derive_coefficients(inputs)
-    z_grid = np.asarray(z_grid, dtype=float)
-    delta = inputs.T - inputs.tau
-    y_grid = inputs.T**inputs.beta * z_grid - c.q * (inputs.wT - delta)
-    payoff = np.maximum(np.abs(z_grid) - math.log(inputs.K), 0.0)
-    initial = payoff * np.exp(-c.a * y_grid)
-    return HeatProblem(eta=c.eta, grid_y=y_grid, initial=initial, tau_end=inputs.tau)
-
-
 def heat_kernel(y, tau: float, eta: float):
     """Gaussian fundamental solution with variance tau * eta."""
     if not tau > 0:
@@ -307,55 +288,31 @@ def _require_grid_width(hp: HeatProblem) -> None:
         )
 
 
-def _convolution_rows(hp: HeatProblem, blocks: list[tuple[int, int]]) -> np.ndarray:
-    """Rows i0..i1-1 of the trapezoidal convolution, for each (i0, i1) in
-    `blocks`, concatenated: heat_kernel(y[i0:i1, None] - y[None, :]) @ (f * w)."""
+def _convolve(hp: HeatProblem, points: np.ndarray) -> np.ndarray:
+    """Trapezoidal convolution of the initial data with the kernel at `points`,
+    sum_j w_j k(point - y_j) f_j.  Each sum is an ``np.sum`` over its row, so
+    its bits depend neither on the other points nor on the BLAS thread count."""
     y = hp.grid_y
-    dy = hp.dy
-    weights = np.full(len(y), dy)
-    weights[0] = weights[-1] = 0.5 * dy
+    weights = np.full(len(y), hp.dy)
+    weights[0] = weights[-1] = 0.5 * hp.dy
     fw = hp.initial * weights
-    return np.concatenate([heat_kernel(y[i0:i1, None] - y[None, :], hp.tau_end, hp.eta) @ fw
-                           for i0, i1 in blocks])
-
-
-def _chunk_rows(n: int) -> int:
-    """Rows per block of the full convolution: about 4M kernel entries."""
-    return max(1, (1 << 22) // n)
+    return np.sum(heat_kernel(points[:, None] - y[None, :], hp.tau_end, hp.eta) * fw, axis=1)
 
 
 def solve_heat_convolution(hp: HeatProblem) -> np.ndarray:
     """U(., tau_end) by trapezoidal convolution of the initial data with the kernel.
 
-    Direct O(n^2) quadrature over the whole grid; grids at desk scale make
-    this cheap and avoid the periodic wraparound of FFT convolution.  The
-    initial data is treated as zero outside the grid.  ``price_via_pde``
-    evaluates only the kernel row of its query node, O(n); this full-grid
-    solve remains for the cross-solver check (criterion 9).
+    Direct O(n^2) quadrature over the whole grid, in row blocks of about 4M
+    kernel entries; grids at desk scale make this cheap and avoid the
+    periodic wraparound of FFT convolution.  The initial data is treated as
+    zero outside the grid.  ``price_via_pde`` evaluates the same quadrature
+    at its query point only, O(n); this full-grid solve remains for the
+    cross-solver check (criterion 9).
     """
     _require_grid_width(hp)
-    n = len(hp.grid_y)
-    chunk = _chunk_rows(n)
-    return _convolution_rows(hp, [(i0, min(i0 + chunk, n)) for i0 in range(0, n, chunk)])
-
-
-def _convolution_at(hp: HeatProblem, idx: int) -> float:
-    """solve_heat_convolution(hp)[idx] in O(n).
-
-    The row is computed inside the 4-row block, aligned from the start of
-    its chunk, that holds it, because OpenBLAS's gemv takes rows 4 at a time: on
-    a 2-vCPU host that reproduced the full solve bit for bit on 359 of 360
-    seeded pricing grids, and on all 120 tried with one BLAS thread, while a
-    1-row product (gemv on one row, or np.dot) differed in the last bits on
-    about 4 points in 5.  The one miss (5e-16 relative) was a grid whose full
-    product OpenBLAS split across threads at a row not aligned to 4.
-    """
-    _require_grid_width(hp)
-    n = len(hp.grid_y)
-    chunk = _chunk_rows(n)
-    c0 = idx - idx % chunk
-    b0 = idx - (idx - c0) % 4
-    return float(_convolution_rows(hp, [(b0, min(b0 + 4, c0 + chunk, n))])[idx - b0])
+    y = hp.grid_y
+    rows = max(1, (1 << 22) // len(y))
+    return np.concatenate([_convolve(hp, y[i:i + rows]) for i in range(0, len(y), rows)])
 
 
 def solve_heat_fd(hp: HeatProblem, dt: float, scheme: str = "crank-nicolson") -> np.ndarray:
@@ -398,19 +355,23 @@ def solve_heat_fd(hp: HeatProblem, dt: float, scheme: str = "crank-nicolson") ->
     return u
 
 
-def _pricing_heat_problem(
-    inputs: PricingInputs, c: DerivedCoefficients, n_nodes: int
-) -> tuple[HeatProblem, int]:
-    """Heat problem whose solution at the query node is (|z| - ln K) * N[d].
+def price_via_pde(inputs: PricingInputs, n_nodes: int = 2000) -> PriceResult:
+    """Numerical counterpart of ``price_ergodic_bs``, by one heat-kernel quadrature.
 
     The valuation integral behind the closed form is a Gaussian smoothing,
     with total variance 2 p lam, of a payoff step of height |z| - ln K
-    located at ln(ln K), queried at ln X.  Diffusing the step with
-    diffusivity eta for time 2 p lam / eta reproduces that integral; here it
-    is done numerically on a grid that places both the step and the query
-    point exactly on nodes (the step node carries half the jump, the
-    standard second-order treatment of a discontinuity).
+    located at ln(ln K), read at ln X.  Diffusing the step with diffusivity
+    eta for time 2 p lam / eta reproduces that integral.  The step sits on
+    the middle node of a uniform grid of 2 ceil(n_nodes / 2) + 1 nodes and
+    carries half the jump there (the standard second-order treatment of a
+    discontinuity); the solution is the trapezoid sum at ln X alone, which
+    need not be a node, so the work is O(n_nodes) at every tau and X.  It is
+    multiplied by the discount and reconstruction factor and agrees with the
+    closed form to quadrature accuracy.
     """
+    if not n_nodes >= 1:
+        raise ValueError(f"n_nodes must be at least 1, got {n_nodes}")
+    c = derive_coefficients(inputs)
     two_pl = 2.0 * c.p * c.lam
     std = math.sqrt(two_pl)
     step_y = math.log(math.log(inputs.K))
@@ -418,55 +379,10 @@ def _pricing_heat_problem(
     payoff = abs(inputs.z) - math.log(inputs.K)
 
     half_span = max(_KERNEL_WIDTH_STD * 2.1 * std, abs(query_y - step_y) + 6 * std)
-    dy = 2 * half_span / n_nodes
-    if query_y != step_y:
-        # snap dy so the query lands on a node of the step-anchored grid
-        m = max(1, round(abs(query_y - step_y) / dy))
-        dy = abs(query_y - step_y) / m
-    # the snapped step is |ln X - ln ln K| once that gap is below dy: as tau
-    # nears T the span outgrows the gap, and the gap itself can be tiny
-    max_nodes = _MAX_NODES_FACTOR * n_nodes
-    if 2 * (half_span / dy) + 1 > max_nodes:
-        raise ValueError(
-            f"heat grid at tau={inputs.tau}, X={inputs.X} needs about "
-            f"{2 * half_span / dy + 1:.4g} nodes, above the cap of {max_nodes} "
-            f"({_MAX_NODES_FACTOR} x n_nodes)"
-        )
-    n_left = math.ceil(half_span / dy)
-    n_right = math.ceil(half_span / dy)
-    grid_y = step_y + dy * np.arange(-n_left, n_right + 1)
+    h = math.ceil(n_nodes / 2)
+    grid_y = step_y + (2 * half_span / n_nodes) * np.arange(-h, h + 1)
     initial = np.where(grid_y > step_y, payoff, 0.0)
-    step_idx = n_left
-    initial[step_idx] = 0.5 * payoff
-    query_idx = step_idx + round((query_y - step_y) / dy)
-    tau_solve = two_pl / c.eta
-    return HeatProblem(eta=c.eta, grid_y=grid_y, initial=initial, tau_end=tau_solve), query_idx
-
-
-def price_via_pde(
-    inputs: PricingInputs,
-    solver: str = "convolution",
-    n_nodes: int = 2000,
-    fd_steps: int = 400,
-) -> PriceResult:
-    """Numerical counterpart of ``price_ergodic_bs``.
-
-    Builds the heat problem of the valuation, solves it at the query node
-    (kernel convolution: that node's row only, O(nodes)) or on the whole grid
-    (Crank-Nicolson finite differences), and multiplies the solution there by
-    the discount and reconstruction factor.  Agrees with the closed form to
-    solver accuracy.  Raises ``ValueError`` when the grid would exceed
-    ``_MAX_NODES_FACTOR * n_nodes`` nodes.
-    """
-    if solver not in ("convolution", "fd"):
-        raise ValueError(f"unknown solver {solver!r}")
-    if not n_nodes >= 1:
-        raise ValueError(f"n_nodes must be at least 1, got {n_nodes}")
-    c = derive_coefficients(inputs)
-    hp, query_idx = _pricing_heat_problem(inputs, c, n_nodes)
-    if solver == "convolution":
-        u_query = _convolution_at(hp, query_idx)
-    else:
-        u_query = float(solve_heat_fd(hp, dt=hp.tau_end / fd_steps)[query_idx])
-    payoff = abs(inputs.z) - math.log(inputs.K)
+    initial[h] = 0.5 * payoff
+    hp = HeatProblem(eta=c.eta, grid_y=grid_y, initial=initial, tau_end=two_pl / c.eta)
+    u_query = float(_convolve(hp, np.array([query_y]))[0])
     return _price_result(_valuation_price(inputs, c, u_query), payoff)

@@ -399,7 +399,7 @@ class TestPrice:
         assert len(rows) == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_overflow_and_grid_cap_are_error_rows(self, runner, tmp_path, fmt):
+    def test_overflow_points_are_error_rows(self, runner, tmp_path, fmt):
         out = tmp_path / "big"
         result = runner.invoke(
             main,
@@ -410,10 +410,9 @@ class TestPrice:
         text = (out / f"pricing_sweep.{fmt}").read_text()
         assert "Infinity" not in text and "inf" not in text
         rows = read_csv(out / "pricing_sweep.csv") if fmt == "csv" else json.loads(text)
-        assert [row["error"] for row in rows[:2]] == [
+        assert [row["error"] for row in rows] == [
             "closed-form price overflows the float range; "
-            "pde price overflows the float range"] * 2
-        assert "tau=0.999, X=100.0" in rows[2]["error"] and "cap" in rows[2]["error"]
+            "pde price overflows the float range"] * 3
         for row in rows:
             assert row["closed_form"] == row["pde"] == row["rel_gap"] == ""
 
