@@ -64,9 +64,7 @@ from .trading import (
     Excursion,
     ExcursionSign,
     RecurrenceSet,
-    SignalReport,
     SojournStats,
-    TauPath,
     TradeLedger,
     build_excursions,
     build_ledger,

@@ -10,7 +10,6 @@ failure, 2 usage/config error.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -104,12 +103,8 @@ def _write_table(out: Path, stem: str, rows: list[dict], fmt: str) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write one CSV table; no header and no rows make an empty file."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow(header)
-        writer.writerows(rows)
+        stochastic._write_csv(fh, header, rows)
 
 
 def _ensure_out(out: str) -> Path:
@@ -119,6 +114,17 @@ def _ensure_out(out: str) -> Path:
     except OSError as e:
         raise click.UsageError(f"cannot create output directory {out}: {e}")
     return p
+
+
+class _Command(click.Command):
+    """A subcommand whose settings the library rejects with a ValueError, such
+    as an out-of-domain value, ends with a usage error (exit 2), not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as e:
+            raise click.UsageError(str(e), ctx) from None
 
 
 @click.group()
@@ -147,14 +153,11 @@ def main(ctx, config_path, seed, out_dir, fmt):
 
 
 def _gbm_from(cfg: dict):
-    try:
-        return (GbmParams(mu=cfg["mu"], sigma=cfg["sigma"], s0=cfg["s0"]),
-                TimeGrid(T=cfg["T"], dt=cfg["dt"]))
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    return (GbmParams(mu=cfg["mu"], sigma=cfg["sigma"], s0=cfg["s0"]),
+            TimeGrid(T=cfg["T"], dt=cfg["dt"]))
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--mu", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
 @click.option("--s0", type=float, default=None)
@@ -200,7 +203,7 @@ def simulate(ctx, **flags):
     click.echo(f"wrote {len(outputs)} file(s) to {out}")
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Price path CSV (t,value); omitted = simulate one internally.")
 @click.option("--mu", type=float, default=None)
@@ -233,34 +236,27 @@ def trade(ctx, input_path, literal_indicator, **flags):
         logp = stochastic.log_path(price)
         # recover the driving Wiener values from the log path
         w_vals = (logp.values - logp.values[0] - params.q * grid.times()) / params.sigma
-        wiener = stochastic.WienerPath(grid=grid, w=w_vals - w_vals[0], seed=-1)
+        wiener = stochastic.WienerPath(grid=grid, w=w_vals - w_vals[0])
     else:
         wiener = simulate_wiener(grid, path_seed(seed, 0))
         price = stochastic.simulate_gbm(params, wiener)
     z = construct_z_gbm(params, wiener, beta=cfg["beta"])
 
-    try:
-        rec = trading.detect_recurrences(z, eps=cfg["eps"])
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    rec = trading.detect_recurrences(z, eps=cfg["eps"])
     exc = trading.build_excursions(z, rec)
     stats = trading.sojourn_stats(exc)
-    signals = trading.generate_signals(exc)
+    ledger = trading.build_ledger(z, price, exc, l=cfg["l"], s=cfg["s"])
+    profit = trading.trade_profit(ledger, literal_indicator=literal_indicator)
     ito_params = stochastic.ItoParams(mu=lambda t, x: params.q,
                                       sigma=lambda t, x: params.sigma)
     bounds = trading.oet_bound_report(exc, ito_params)
     outputs = []
 
-    outputs.append(_write_table(out, "signals", signals.as_rows(), fmt))
+    outputs.append(_write_table(out, "signals", trading.generate_signals(exc), fmt))
     outputs.append(_write_table(out, "bound_report", [
         {"i": r.i, "contained": int(r.contained), "vol_drift_ratio": r.vol_drift_ratio,
          "dt_M": r.dt_M, "d_tau": r.d_tau, "flagged": int(r.flagged)}
         for r in bounds.rows], fmt))
-
-    profit = 0.0
-    if exc:
-        ledger = trading.build_ledger(z, price, exc, l=cfg["l"], s=cfg["s"])
-        profit = trading.trade_profit(ledger, literal_indicator=literal_indicator)
     summary = {
         "n_excursions": len(exc),
         "mean_sojourn_above": stats.mean_above,
@@ -294,7 +290,7 @@ def trade(ctx, input_path, literal_indicator, **flags):
     click.echo(f"{len(exc)} excursion(s), profit {profit:.6f}; wrote {out}")
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--theta", type=str, default=None,
               help="Rotation angle: 'sqrt2', 'golden', or a number.")
 @click.option("--n", type=int, default=None, help="Orbit length for the diagnostics.")
@@ -373,7 +369,7 @@ def rotate(ctx, **flags):
     click.echo(f"wrote rotation diagnostics to {out}")
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--taus", type=str, default=None, help="Comma-separated times to maturity.")
 @click.option("--zs", type=str, default=None, help="Comma-separated Z levels.")
 @click.option("--xs", type=str, default=None, help="Comma-separated underlying prices.")

@@ -40,9 +40,11 @@ _PERIODICITY_TOL = 1e-12
 _ORBIT_CHUNK = 1 << 18
 
 
-def _check_point(x: float) -> None:
+def _check_start(name: str, x: float, theta: float) -> None:
     if not (0.0 <= x < 1.0):
-        raise ValueError(f"circle point must lie in [0, 1), got {x}")
+        raise ValueError(f"circle point {name} must lie in [0, 1), got {x}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ def _check_periodic(phi: Callable) -> None:
 
 def rotate(x: float, theta: float) -> float:
     """One rotation step: (x + theta) mod 1."""
-    _check_point(x)
+    _check_start("x", x, theta)
     out = (x + theta) % 1.0
     # float modulo can round up to exactly 1.0 for tiny negative arguments
     return out if out < 1.0 else 0.0
@@ -128,13 +130,19 @@ def _orbit_chunk(x: float, theta: float, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def _orbit_chunks(x: float, theta: float, n: int):
+    """The first n orbit points, in chunks of at most _ORBIT_CHUNK points."""
+    for start in range(0, n, _ORBIT_CHUNK):
+        yield _orbit_chunk(x, theta, start, min(start + _ORBIT_CHUNK, n))
+
+
 def orbit(x: float, theta: float, n: int) -> np.ndarray:
     """First n orbit points (x + k*theta) mod 1, k = 0..n-1.
 
     Each point is computed from the multiple k*theta rather than by iterated
     addition, so rounding does not accumulate along the orbit.
     """
-    _check_point(x)
+    _check_start("x", x, theta)
     if n < 1:
         raise ValueError(f"orbit length must be >= 1, got {n}")
     return _orbit_chunk(x, theta, 0, n)
@@ -146,27 +154,25 @@ def birkhoff_average(phi: Callable, x: float, theta: float, n: int) -> float:
     phi must wrap (phi(0) = phi(1)); for irrational theta the average
     converges to the integral of phi over [0, 1].
     """
-    _check_point(x)
+    _check_start("x", x, theta)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_periodic(phi)
     total = 0.0
-    for start in range(0, n, _ORBIT_CHUNK):
-        stop = min(start + _ORBIT_CHUNK, n)
-        total += float(np.sum(phi(_orbit_chunk(x, theta, start, stop))))
+    for pts in _orbit_chunks(x, theta, n):
+        total += float(np.sum(phi(pts)))
     return total / n
 
 
 def equidistribution_test(theta: float, a: float, b: float, x0: float, n: int) -> float:
     """Fraction of the first n orbit points landing in [a, b)."""
     if not (0.0 <= a < b <= 1.0):
-        raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
-    _check_point(x0)
-    hits = 0
-    for start in range(0, n, _ORBIT_CHUNK):
-        stop = min(start + _ORBIT_CHUNK, n)
-        pts = _orbit_chunk(x0, theta, start, stop)
-        hits += int(np.count_nonzero((pts >= a) & (pts < b)))
+        raise ValueError(f"interval needs 0 <= a < b <= 1, got a={a}, b={b}")
+    _check_start("x0", x0, theta)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    hits = sum(int(np.count_nonzero((pts >= a) & (pts < b)))
+               for pts in _orbit_chunks(x0, theta, n))
     return hits / n
 
 
@@ -184,6 +190,7 @@ def kac_return_time(
         raise ValueError(f"start point {x0} must lie in the arc {arc}")
     if n_returns < 1:
         raise ValueError(f"n_returns must be >= 1, got {n_returns}")
+    _check_start("x0", x0, theta)
 
     p = b - a
     returns: list[np.ndarray] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, IO
 
@@ -35,7 +35,6 @@ __all__ = [
 
 
 class PathKind(Enum):
-    WIENER = "wiener"
     PRICE = "price"
     LOGPRICE = "logprice"
     ZPROCESS = "zprocess"
@@ -86,7 +85,6 @@ class TimeGrid:
 class WienerPath:
     grid: TimeGrid
     w: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if len(self.w) != self.grid.n + 1:
@@ -134,7 +132,6 @@ class SamplePath:
     grid: TimeGrid
     values: np.ndarray
     kind: PathKind
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if len(self.values) != self.grid.n + 1:
@@ -165,8 +162,7 @@ def simulate_wiener(grid: TimeGrid, seed) -> WienerPath:
     w = np.empty(grid.n + 1)
     w[0] = 0.0
     np.cumsum(dw, out=w[1:])
-    seed_int = seed if isinstance(seed, int) else -1
-    return WienerPath(grid=grid, w=w, seed=seed_int)
+    return WienerPath(grid=grid, w=w)
 
 
 def simulate_gbm(params: GbmParams, wiener: WienerPath) -> SamplePath:
@@ -219,11 +215,17 @@ def path_header(path: SamplePath, seed: int | None = None, params: dict | None =
     }
 
 
-def write_path_csv(path: SamplePath, fh: IO[str]) -> None:
+def _write_csv(fh: IO[str], header: list[str], rows) -> None:
+    """Write one CSV table to an open text file; no header and no rows write nothing."""
     writer = csv.writer(fh)
-    writer.writerow(["t", "value"])
+    if header:
+        writer.writerow(header)
+    writer.writerows(rows)
+
+
+def write_path_csv(path: SamplePath, fh: IO[str]) -> None:
     values = np.asarray(path.values, dtype=float)
-    writer.writerows(zip(path.grid.times().tolist(), values.tolist()))
+    _write_csv(fh, ["t", "value"], zip(path.grid.times().tolist(), values.tolist()))
 
 
 def read_path_csv(fh: IO[str], kind: PathKind) -> SamplePath:

@@ -10,13 +10,13 @@ entered at tau_i: long when the path is below the level, short when above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .stochastic import GbmParams, ItoParams, PathKind, SamplePath, TimeGrid, WienerPath
+from .stochastic import GbmParams, ItoParams, PathKind, SamplePath, WienerPath
 
 __all__ = [
     "ExcursionSign",
@@ -24,11 +24,8 @@ __all__ = [
     "Excursion",
     "SojournStats",
     "TradeLedger",
-    "TauPath",
     "BoundReport",
     "BoundRow",
-    "Signal",
-    "SignalReport",
     "detect_recurrences",
     "build_excursions",
     "sojourn_stats",
@@ -54,7 +51,6 @@ class ExcursionSign(Enum):
 @dataclass(frozen=True)
 class RecurrenceSet:
     taus: np.ndarray
-    eps: float
 
     def __post_init__(self):
         if len(self.taus) > 1 and np.any(np.diff(self.taus) <= 0):
@@ -100,21 +96,15 @@ class TradeLedger:
     s: float
 
     def __post_init__(self):
-        if self.l < 0 or self.s < 0:
-            raise ValueError(f"leverages must be nonnegative, got l={self.l}, s={self.s}")
+        for name, value in (("l", self.l), ("s", self.s)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"leverage {name} must be finite and nonnegative, got {value}")
         if len(self.entry_prices) != len(self.excursions) or len(self.exit_prices) != len(
             self.excursions
         ):
             raise ValueError("one (entry, exit) price pair per excursion")
         if np.any(np.asarray(self.entry_prices) <= 0) or np.any(np.asarray(self.exit_prices) <= 0):
             raise ValueError("prices must be positive")
-
-
-@dataclass(frozen=True)
-class TauPath:
-    grid: TimeGrid
-    taus: np.ndarray
-    params: GbmParams
 
 
 @dataclass(frozen=True)
@@ -134,24 +124,6 @@ class BoundReport:
     fraction_flagged: float
 
 
-@dataclass(frozen=True)
-class Signal:
-    entry_time: float
-    direction: str  # "long" | "short"
-    exit_time: float
-
-
-@dataclass(frozen=True)
-class SignalReport:
-    signals: tuple
-
-    def as_rows(self) -> list[dict]:
-        return [
-            {"entry_time": s.entry_time, "direction": s.direction, "exit_time": s.exit_time}
-            for s in self.signals
-        ]
-
-
 def detect_recurrences(z: SamplePath, eps: float = 0.0) -> RecurrenceSet:
     """Times at which the path returns to the reference level 0.
 
@@ -165,15 +137,15 @@ def detect_recurrences(z: SamplePath, eps: float = 0.0) -> RecurrenceSet:
     """
     if z.kind is not PathKind.ZPROCESS:
         raise ValueError(f"detect_recurrences expects a zprocess path, got {z.kind.value}")
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     v = np.asarray(z.values, dtype=float)
     t = z.grid.times()
     dt = z.grid.dt
     vmax = float(np.max(np.abs(v)))
     if vmax == 0.0:
         # identically-zero path: single return at 0, no excursions
-        return RecurrenceSet(taus=np.array([0.0]), eps=eps)
+        return RecurrenceSet(taus=np.array([0.0]))
     eff = max(eps, _ZERO_FLOOR_REL * vmax)
 
     at_level = np.abs(v) <= eff
@@ -201,7 +173,7 @@ def detect_recurrences(z: SamplePath, eps: float = 0.0) -> RecurrenceSet:
     for c in candidates.tolist():
         if not taus or c - taus[-1] >= dt * (1 - 1e-9):
             taus.append(c)
-    return RecurrenceSet(taus=np.asarray(taus), eps=eps)
+    return RecurrenceSet(taus=np.asarray(taus))
 
 
 def subgrid_crossing_probability(z: SamplePath) -> float:
@@ -272,14 +244,14 @@ def sojourn_stats(excursions: Sequence[Excursion]) -> SojournStats:
     )
 
 
-def simulate_recurrence_sde(params: GbmParams, wiener: WienerPath, tau0: float) -> TauPath:
+def simulate_recurrence_sde(params: GbmParams, wiener: WienerPath, tau0: float) -> np.ndarray:
     """Euler path of the recurrence-time dynamics for a GBM underlying.
 
     d tau = -[(sigma + q tau) / q] dW / W with q = mu - sigma^2/2.  The step
     at the origin is skipped because W starts at 0 by construction; any other
     W value within 1e-12 of 0 halts with a diagnostic (the dynamics divide by
     W and are not regularized).  Steps with a zero Wiener increment leave tau
-    unchanged without touching W.
+    unchanged without touching W.  Returns tau at every grid time.
     """
     q = params.q
     if abs(q) < 1e-15:
@@ -298,7 +270,7 @@ def simulate_recurrence_sde(params: GbmParams, wiener: WienerPath, tau0: float) 
                 f"Wiener path within {_W_SINGULAR} of 0 at step {k}: dynamics singular"
             )
         taus[k + 1] = taus[k] - ((params.sigma + q * taus[k]) / q) * dw / w[k]
-    return TauPath(grid=grid, taus=taus, params=params)
+    return taus
 
 
 def oet_bound_report(excursions: Sequence[Excursion], params: ItoParams) -> BoundReport:
@@ -374,14 +346,11 @@ def trade_profit(ledger: TradeLedger, literal_indicator: bool = False) -> float:
     return float(ledger.l * ind_below * gaps.sum() + ledger.s * ind_above * gaps.sum())
 
 
-def generate_signals(excursions: Sequence[Excursion]) -> SignalReport:
-    """Trade list: enter at tau_i (long below / short above), exit at t_M_i."""
-    signals = tuple(
-        Signal(
-            entry_time=e.start,
-            direction="long" if e.sign is ExcursionSign.BELOW else "short",
-            exit_time=e.tM,
-        )
+def generate_signals(excursions: Sequence[Excursion]) -> list[dict]:
+    """Trade list rows: enter at tau_i (long below / short above), exit at t_M_i."""
+    return [
+        {"entry_time": e.start,
+         "direction": "long" if e.sign is ExcursionSign.BELOW else "short",
+         "exit_time": e.tM}
         for e in excursions
-    )
-    return SignalReport(signals=signals)
+    ]

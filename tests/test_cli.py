@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import logergodic
 from logergodic import (
     EmoConfig,
     GbmParams,
@@ -92,6 +96,42 @@ def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, co
     result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), command])
     assert result.exit_code == 2, result.output
     assert key in result.output
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["rotate", "--x0", "1.5"], "x0"),
+        (["rotate", "--n", "0"], "n must be >= 1"),
+        (["rotate", "--intervals", "0.5:0.2"], "interval"),
+        (["rotate", "--arcs", "0"], "arc"),
+        (["trade", "--beta", "1.0"], "beta"),
+        (["--seed", "2", "trade", "--dt", "0.001", "--long-leverage", "-1"], "leverage l"),
+        (["--seed", "2", "trade", "--dt", "0.001", "--eps", "nan"], "eps"),
+        (["--seed", "2", "trade", "--dt", "0.001", "--long-leverage", "nan"], "leverage l"),
+    ],
+    ids=["x0", "n", "intervals", "arcs", "beta", "negative_leverage", "nan_eps",
+         "nan_leverage"],
+)
+def test_out_of_domain_setting_is_usage_error(runner, tmp_path, args, name):
+    result = runner.invoke(main, ["--out", str(tmp_path / "o")] + args)
+    assert result.exit_code == 2, result.output
+    assert name in result.output
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_non_finite_theta_is_usage_error(tmp_path, theta):
+    # in a child process with a timeout, so that an unchecked angle, whose
+    # return-time scan runs towards 1e9 orbit steps, fails instead of stalling
+    src = str(Path(logergodic.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "logergodic.cli", "--out", str(tmp_path / "o"), "rotate",
+         "--theta", theta],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert result.returncode == 2, result.stderr
+    assert f"theta must be finite, got {theta}" in result.stderr
 
 
 def test_config_numbers_stand_in_for_floats_and_text(runner, tmp_path):

@@ -104,7 +104,7 @@ class TestApplyEmo:
     def test_hand_evaluated_gbm_point(self):
         # q = 0.08, sigma = 0.2, T = 1, beta = 2, W_T = 0.3, W_0.5 = -0.1
         grid = TimeGrid(T=1.0, dt=0.5)
-        w = WienerPath(grid=grid, w=np.array([0.0, -0.1, 0.3]), seed=0)
+        w = WienerPath(grid=grid, w=np.array([0.0, -0.1, 0.3]))
         y = log_path(simulate_gbm(GBM, w))
         dec = decompose(y, gbm_ito_params(GBM, float(y.values[0])), w)
         z = apply_emo(dec, EmoConfig(beta=2.0, T=1.0, wT=w.terminal))
@@ -194,7 +194,7 @@ class TestConstructZGbm:
 
     def test_hand_evaluated_point(self):
         grid = TimeGrid(T=1.0, dt=0.5)
-        w = WienerPath(grid=grid, w=np.array([0.0, -0.1, 0.3]), seed=0)
+        w = WienerPath(grid=grid, w=np.array([0.0, -0.1, 0.3]))
         z = construct_z_gbm(GBM, w, beta=2.0)
         assert z.values[1] == pytest.approx(-0.008, abs=1e-15)
 

@@ -256,20 +256,6 @@ class TestHeatSolvers:
         hp = HeatProblem(eta=1.0, grid_y=y, initial=np.zeros_like(y), tau_end=0.5)
         np.testing.assert_array_equal(solve_heat_fd(hp, dt=0.01), 0.0)
 
-    def test_explicit_scheme_matches_when_stable(self):
-        hp = gaussian_problem(n=401)
-        dy = hp.dy
-        dt = 0.9 * dy**2 / hp.eta  # inside the stability bound
-        u_exp = solve_heat_fd(hp, dt=dt, scheme="explicit")
-        u_cn = solve_heat_fd(hp, dt=hp.tau_end / 2000)
-        # first-order-in-time scheme near the stability edge: O(dt) accuracy
-        assert np.max(np.abs(u_exp - u_cn)) <= 2e-3
-
-    def test_explicit_scheme_rejects_unstable_step(self):
-        hp = gaussian_problem(n=401)
-        with pytest.raises(ValueError, match="unstable"):
-            solve_heat_fd(hp, dt=hp.tau_end / 10, scheme="explicit")
-
     def test_cross_solver_agreement(self):
         hp = gaussian_problem()
         u_conv = solve_heat_convolution(hp)

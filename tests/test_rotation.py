@@ -116,6 +116,29 @@ class TestEquidistribution:
             equidistribution_test(SQRT2, 0.5, 0.5, x0=0.0, n=100)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda theta: rotate(0.0, theta),
+        lambda theta: orbit(0.0, theta, 10),
+        lambda theta: birkhoff_average(TrigPolynomial(c0=1.0), x=0.0, theta=theta, n=10),
+        lambda theta: equidistribution_test(theta, 0.0, 0.5, x0=0.0, n=10),
+        # unchecked, a nan angle never returns and the scan runs to its 1e9-step cap
+        lambda theta: kac_return_time(theta, (0.0, 1.0), x0=0.0, n_returns=1),
+    ],
+    ids=["rotate", "orbit", "birkhoff_average", "equidistribution_test", "kac_return_time"],
+)
+def test_non_finite_theta_rejected(call, theta):
+    with pytest.raises(ValueError, match="theta"):
+        call(theta)
+
+
+def test_equidistribution_needs_at_least_one_point():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        equidistribution_test(SQRT2, 0.0, 0.5, x0=0.0, n=0)
+
+
 class TestKacReturnTime:
     def test_full_circle_returns_every_step(self):
         assert kac_return_time(SQRT2, (0.0, 1.0), x0=0.0, n_returns=100) == 1.0

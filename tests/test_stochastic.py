@@ -120,7 +120,7 @@ class TestSimulateGbm:
 
     def test_flat_wiener_zero_log_drift(self):
         grid = TimeGrid(T=1.0, dt=0.25)
-        w = WienerPath(grid=grid, w=np.zeros(grid.n + 1), seed=0)
+        w = WienerPath(grid=grid, w=np.zeros(grid.n + 1))
         sigma = 0.2
         s = simulate_gbm(GbmParams(mu=sigma**2 / 2, sigma=sigma, s0=100.0), w)
         np.testing.assert_allclose(s.values, 100.0)
@@ -194,7 +194,7 @@ class TestSimulateIto:
 
         def coarsen(w, factor):
             grid = TimeGrid(T=1.0, dt=factor / n_fine)
-            return WienerPath(grid=grid, w=w.w[::factor].copy(), seed=w.seed)
+            return WienerPath(grid=grid, w=w.w[::factor].copy())
 
         errs = {4: [], 2: []}
         for i in range(200):

@@ -88,9 +88,14 @@ class TestDetectRecurrences:
         with pytest.raises(ValueError, match="eps"):
             detect_recurrences(zpath(np.zeros(11)), eps=-0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            detect_recurrences(zpath(np.zeros(11)), eps=eps)
+
     def test_wrong_kind_rejected(self):
         grid = TimeGrid(T=1.0, dt=0.1)
-        w = SamplePath(grid=grid, values=np.zeros(11), kind=PathKind.WIENER)
+        w = SamplePath(grid=grid, values=np.zeros(11), kind=PathKind.LOGPRICE)
         with pytest.raises(ValueError, match="zprocess"):
             detect_recurrences(w)
 
@@ -126,7 +131,7 @@ class TestSubgridCrossingProbability:
 
     def test_wrong_kind_rejected(self):
         grid = TimeGrid(T=1.0, dt=0.1)
-        w = SamplePath(grid=grid, values=np.zeros(11), kind=PathKind.WIENER)
+        w = SamplePath(grid=grid, values=np.zeros(11), kind=PathKind.LOGPRICE)
         with pytest.raises(ValueError, match="zprocess"):
             subgrid_crossing_probability(w)
 
@@ -174,16 +179,16 @@ class TestRecurrenceSde:
     def test_single_hand_evaluated_step(self):
         # tau0 = 0.5, q = 0.08, sigma = 0.2, W = 1.0, dW = 0.01 -> d tau = -0.03
         grid = TimeGrid(T=1.0, dt=0.5)
-        w = WienerPath(grid=grid, w=np.array([0.0, 1.0, 1.01]), seed=0)
-        path = simulate_recurrence_sde(GBM, w, tau0=0.5)
-        assert path.taus[1] == pytest.approx(0.5)  # origin step skipped (W starts at 0)
-        assert path.taus[2] == pytest.approx(0.47, abs=1e-12)
+        w = WienerPath(grid=grid, w=np.array([0.0, 1.0, 1.01]))
+        taus = simulate_recurrence_sde(GBM, w, tau0=0.5)
+        assert taus[1] == pytest.approx(0.5)  # origin step skipped (W starts at 0)
+        assert taus[2] == pytest.approx(0.47, abs=1e-12)
 
     def test_zero_increments_leave_tau_constant(self):
         grid = TimeGrid(T=1.0, dt=0.5)
-        w = WienerPath(grid=grid, w=np.array([0.0, 1.0, 1.0]), seed=0)
-        path = simulate_recurrence_sde(GBM, w, tau0=0.5)
-        np.testing.assert_array_equal(path.taus, 0.5)
+        w = WienerPath(grid=grid, w=np.array([0.0, 1.0, 1.0]))
+        taus = simulate_recurrence_sde(GBM, w, tau0=0.5)
+        np.testing.assert_array_equal(taus, 0.5)
 
     def test_zero_log_drift_is_singular(self):
         grid = TimeGrid(T=1.0, dt=0.5)
@@ -194,7 +199,7 @@ class TestRecurrenceSde:
 
     def test_wiener_near_zero_halts_with_diagnostic(self):
         grid = TimeGrid(T=1.0, dt=0.5)
-        w = WienerPath(grid=grid, w=np.array([0.0, 1e-13, 1.0]), seed=0)
+        w = WienerPath(grid=grid, w=np.array([0.0, 1e-13, 1.0]))
         with pytest.raises(ValueError, match="step 1"):
             simulate_recurrence_sde(GBM, w, tau0=0.5)
 
@@ -277,6 +282,13 @@ class TestTradeProfit:
         with pytest.raises(ValueError, match="leverage"):
             make_ledger([ExcursionSign.BELOW], [100.0], [110.0], l=-1.0)
 
+    @pytest.mark.parametrize("name", ["l", "s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_leverage_rejected(self, name, value):
+        # an empty ledger too: inf * 0 would make its profit nan
+        with pytest.raises(ValueError, match=f"leverage {name}"):
+            make_ledger([], [], [], **{name: value})
+
     @given(
         scale=st.floats(0.0, 10.0),
         l=st.floats(0.0, 5.0),
@@ -311,8 +323,7 @@ class TestTradeProfit:
 class TestGenerateSignals:
     def test_sine_signals(self):
         z = sine_fixture()
-        report = generate_signals(build_excursions(z, detect_recurrences(z)))
-        rows = report.as_rows()
+        rows = generate_signals(build_excursions(z, detect_recurrences(z)))
         assert len(rows) == 2
         assert rows[0]["direction"] == "short"
         assert rows[0]["entry_time"] == pytest.approx(0.0, abs=1e-3)
@@ -322,7 +333,7 @@ class TestGenerateSignals:
         assert rows[1]["exit_time"] == pytest.approx(0.75, abs=1e-3)
 
     def test_empty(self):
-        assert generate_signals([]).as_rows() == []
+        assert generate_signals([]) == []
 
 
 # --- brute-force oracles --------------------------------------------------------
@@ -406,7 +417,7 @@ class TestVectorisedTradingMatchesOracles:
         t = z.grid.times()
         on_grid = data.draw(st.lists(st.integers(0, z.grid.n), max_size=8))
         between = data.draw(st.lists(st.floats(0.0, z.grid.T), max_size=8))
-        rec = RecurrenceSet(taus=np.unique(np.concatenate([t[on_grid], between])), eps=0.0)
+        rec = RecurrenceSet(taus=np.unique(np.concatenate([t[on_grid], between])))
         assert build_excursions(z, rec) == build_excursions_oracle(z, rec)
 
     @given(z=level_walks(), seed=st.integers(0, 2**31))
