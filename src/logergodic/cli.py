@@ -79,9 +79,20 @@ def _settings(ctx, command: str, flags: dict) -> dict:
             for key, default in DEFAULTS[command].items()}
 
 
+def _finite(obj):
+    """obj with each non-finite float as None: JSON null, not the non-standard NaN."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        json.dump(_finite(obj), fh, indent=2, sort_keys=sort_keys, allow_nan=False)
         fh.write("\n")
 
 
@@ -253,10 +264,7 @@ def trade(ctx, input_path, literal_indicator, **flags):
     outputs = []
 
     outputs.append(_write_table(out, "signals", trading.generate_signals(exc), fmt))
-    outputs.append(_write_table(out, "bound_report", [
-        {"i": r.i, "contained": int(r.contained), "vol_drift_ratio": r.vol_drift_ratio,
-         "dt_M": r.dt_M, "d_tau": r.d_tau, "flagged": int(r.flagged)}
-        for r in bounds.rows], fmt))
+    outputs.append(_write_table(out, "bound_report", bounds.rows, fmt))
     summary = {
         "n_excursions": len(exc),
         "mean_sojourn_above": stats.mean_above,
@@ -322,13 +330,11 @@ def rotate(ctx, **flags):
     except ValueError as e:
         raise click.UsageError(f"bad interval/arc spec: {e}")
 
-    outputs = []
     freq_rows = []
     for a, b in ivals:
         freq = rotation.equidistribution_test(theta_val, a, b, x0=x0, n=n)
         freq_rows.append({"a": a, "b": b, "frequency": freq, "target": b - a,
                          "abs_error": abs(freq - (b - a))})
-    outputs.append(_write_table(out, "equidistribution", freq_rows, fmt))
 
     kac_rows = []
     n_ret = min(100_000, max(1000, n // 10))
@@ -336,7 +342,6 @@ def rotate(ctx, **flags):
         mean = rotation.kac_return_time(theta_val, (0.0, p), x0=0.0, n_returns=n_ret)
         kac_rows.append({"arc_length": p, "mean_return": mean, "target": 1.0 / p,
                         "rel_error": abs(mean * p - 1.0)})
-    outputs.append(_write_table(out, "kac_returns", kac_rows, fmt))
 
     birkhoff_rows = []
     for label, phi, target in [
@@ -347,7 +352,9 @@ def rotate(ctx, **flags):
         avg = rotation.birkhoff_average(phi, x=x0, theta=theta_val, n=n)
         birkhoff_rows.append({"function": label, "average": avg, "target": target,
                              "abs_error": abs(avg - target)})
-    outputs.append(_write_table(out, "birkhoff", birkhoff_rows, fmt))
+    # every table is built before the first is written, so a failed scan leaves no file
+    outputs = [_write_table(out, stem, rows, fmt) for stem, rows in (
+        ("equidistribution", freq_rows), ("kac_returns", kac_rows), ("birkhoff", birkhoff_rows))]
 
     # figure data: circle position of the angle process along a price path
     params = GbmParams(mu=0.1, sigma=0.2, s0=100.0)

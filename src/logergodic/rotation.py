@@ -38,6 +38,7 @@ GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
 _PERIODICITY_TOL = 1e-12
 _ORBIT_CHUNK = 1 << 18
+_MAX_ORBIT_STEPS = 1_000_000_000
 
 
 def _check_start(name: str, x: float, theta: float) -> None:
@@ -131,9 +132,10 @@ def _orbit_chunk(x: float, theta: float, start: int, stop: int) -> np.ndarray:
 
 
 def _orbit_chunks(x: float, theta: float, n: int):
-    """The first n orbit points, in chunks of at most _ORBIT_CHUNK points."""
+    """The first n orbit points as (index of the first, points) pairs, in
+    chunks of at most _ORBIT_CHUNK points: the one scan over an orbit."""
     for start in range(0, n, _ORBIT_CHUNK):
-        yield _orbit_chunk(x, theta, start, min(start + _ORBIT_CHUNK, n))
+        yield start, _orbit_chunk(x, theta, start, min(start + _ORBIT_CHUNK, n))
 
 
 def orbit(x: float, theta: float, n: int) -> np.ndarray:
@@ -159,7 +161,7 @@ def birkhoff_average(phi: Callable, x: float, theta: float, n: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_periodic(phi)
     total = 0.0
-    for pts in _orbit_chunks(x, theta, n):
+    for _, pts in _orbit_chunks(x, theta, n):
         total += float(np.sum(phi(pts)))
     return total / n
 
@@ -172,7 +174,7 @@ def equidistribution_test(theta: float, a: float, b: float, x0: float, n: int) -
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     hits = sum(int(np.count_nonzero((pts >= a) & (pts < b)))
-               for pts in _orbit_chunks(x0, theta, n))
+               for _, pts in _orbit_chunks(x0, theta, n))
     return hits / n
 
 
@@ -181,7 +183,9 @@ def kac_return_time(
 ) -> float:
     """Mean number of steps between successive visits to the arc [a, b).
 
-    For an ergodic rotation the expected return time is 1 / (b - a).
+    For an ergodic rotation the expected return time is 1 / (b - a).  The
+    scan takes at most ceil(4 * n_returns / (b - a)) orbit steps; an angle
+    that needs more, such as one too close to a rational, raises ValueError.
     """
     a, b = arc
     if not (0.0 <= a < b <= 1.0):
@@ -192,26 +196,20 @@ def kac_return_time(
         raise ValueError(f"n_returns must be >= 1, got {n_returns}")
     _check_start("x0", x0, theta)
 
-    p = b - a
-    returns: list[np.ndarray] = []
-    collected = 0
-    last_hit = 0  # k = 0 is in the arc by assumption
-    start = 1
-    # expected steps ~ n_returns / p; scan in chunks until enough returns
-    while collected < n_returns:
-        stop = start + max(_ORBIT_CHUNK, int(2 * (n_returns - collected) / p))
-        pts = _orbit_chunk(x0, theta, start, stop)
-        hit_idx = np.nonzero((pts >= a) & (pts < b))[0] + start
-        if hit_idx.size:
-            with_prev = np.concatenate(([last_hit], hit_idx))
-            returns.append(np.diff(with_prev))
-            collected += hit_idx.size
-            last_hit = int(hit_idx[-1])
-        start = stop
-        if start > 1_000_000_000:
-            raise RuntimeError("orbit scan exceeded 1e9 steps without enough returns")
-    all_returns = np.concatenate(returns)[:n_returns]
-    return float(np.mean(all_returns))
+    budget = math.ceil(4 * n_returns / (b - a))
+    if budget > _MAX_ORBIT_STEPS:
+        raise ValueError(f"{n_returns} returns to the arc {arc} need a scan of {budget} "
+                         f"orbit steps, more than {_MAX_ORBIT_STEPS}")
+    hits = []
+    n_hits = 0
+    # x0 lies in the arc, so k = 0 is the first hit
+    for start, pts in _orbit_chunks(x0, theta, budget):
+        hits.append(np.flatnonzero((pts >= a) & (pts < b)) + start)
+        n_hits += hits[-1].size
+        if n_hits > n_returns:
+            return float(np.mean(np.diff(np.concatenate(hits))[:n_returns]))
+    raise ValueError(f"theta {theta} returned to the arc {arc} fewer than {n_returns} "
+                     f"times in {budget} orbit steps; it may be too close to a rational")
 
 
 def theta_process(

@@ -25,8 +25,8 @@ __all__ = [
     "SojournStats",
     "TradeLedger",
     "BoundReport",
-    "BoundRow",
     "detect_recurrences",
+    "subgrid_crossing_probability",
     "build_excursions",
     "sojourn_stats",
     "simulate_recurrence_sde",
@@ -108,17 +108,10 @@ class TradeLedger:
 
 
 @dataclass(frozen=True)
-class BoundRow:
-    i: int
-    contained: bool
-    vol_drift_ratio: float  # sigma(tM)/mu(tM); nan when mu(tM) = 0
-    dt_M: float  # t_M - tau_i
-    d_tau: float  # tau_{i+1} - tau_i
-    flagged: bool  # vol_drift_ratio > d_tau
-
-
-@dataclass(frozen=True)
 class BoundReport:
+    # one dict per excursion: i, contained (0/1), vol_drift_ratio =
+    # sigma(tM)/mu(tM) (nan when mu(tM) = 0), dt_M = t_M - tau_i,
+    # d_tau = tau_{i+1} - tau_i, flagged (0/1) = vol_drift_ratio > d_tau
     rows: tuple
     all_contained: bool
     fraction_flagged: float
@@ -287,22 +280,13 @@ def oet_bound_report(excursions: Sequence[Excursion], params: ItoParams) -> Boun
         m = params.mu(e.tM, z_tm)
         s = params.sigma(e.tM, z_tm)
         ratio = s / m if m != 0.0 else math.nan
-        contained = e.start < e.tM < e.end
-        flagged = (not math.isnan(ratio)) and ratio > e.delta
-        rows.append(
-            BoundRow(
-                i=e.i,
-                contained=contained,
-                vol_drift_ratio=ratio,
-                dt_M=e.tM - e.start,
-                d_tau=e.delta,
-                flagged=flagged,
-            )
-        )
-    frac = sum(r.flagged for r in rows) / len(rows) if rows else 0.0
+        rows.append({"i": e.i, "contained": int(e.start < e.tM < e.end),
+                     "vol_drift_ratio": ratio, "dt_M": e.tM - e.start, "d_tau": e.delta,
+                     "flagged": int(not math.isnan(ratio) and ratio > e.delta)})
+    frac = sum(r["flagged"] for r in rows) / len(rows) if rows else 0.0
     return BoundReport(
         rows=tuple(rows),
-        all_contained=all(r.contained for r in rows),
+        all_contained=all(r["contained"] for r in rows),
         fraction_flagged=frac,
     )
 

@@ -121,8 +121,8 @@ def test_out_of_domain_setting_is_usage_error(runner, tmp_path, args, name):
 
 @pytest.mark.parametrize("theta", ["nan", "inf"])
 def test_non_finite_theta_is_usage_error(tmp_path, theta):
-    # in a child process with a timeout, so that an unchecked angle, whose
-    # return-time scan runs towards 1e9 orbit steps, fails instead of stalling
+    # in a child process with a timeout, so that an unchecked angle fails
+    # instead of stalling
     src = str(Path(logergodic.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -142,6 +142,31 @@ def test_config_numbers_stand_in_for_floats_and_text(runner, tmp_path):
     assert result.exit_code == 0, result.output
     rows = read_csv(out / "pricing_sweep.csv")
     assert [(row["tau"], row["K"], row["error"]) for row in rows] == [("0.5", "20", "")]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["trade"],  # no excursions: both mean sojourns are undefined
+        ["--seed", "2", "--format", "json", "trade", "--mu", "0.125", "--sigma", "0.5",
+         "--dt", "0.001"],  # q = 0: every vol/drift ratio is undefined
+        ["price", "--r", "nan"],
+        ["--format", "json", "price", "--k", "inf"],
+    ],
+    ids=["trade_no_excursions", "trade_zero_drift", "price_nan_r", "price_inf_k"],
+)
+def test_json_artefacts_are_strict_json(runner, tmp_path, args):
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["--out", str(out)] + args)
+    assert result.exit_code == 0, result.output
+    names = sorted(path.name for path in out.glob("*.json"))
+    assert "manifest.json" in names
+    for name in names:
+        json.loads((out / name).read_text(), parse_constant=_reject_constant)
 
 
 class TestArtefactFormat:
@@ -370,6 +395,15 @@ class TestRotate:
              "--intervals", "0.0:0.5", "--arcs", "0.5"],
         )
         assert result.exit_code == 0, result.output
+
+    def test_near_integer_theta_is_usage_error_and_writes_no_file(self, runner, tmp_path):
+        # the orbit steps back by 1e-12 a step and never re-enters the arc [0, 0.1)
+        out = tmp_path / "near"
+        result = runner.invoke(
+            main, ["--out", str(out), "rotate", "--theta", "0.999999999999", "--n", "1000"])
+        assert result.exit_code == 2, result.output
+        assert "theta 0.999999999999" in result.output
+        assert not out.exists() or not any(out.iterdir())
 
     def test_unknown_theta_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(

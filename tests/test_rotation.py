@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from logergodic import (
     theta_moment_check,
     theta_process,
 )
+from logergodic import rotation
 
 
 class TestRotate:
@@ -124,7 +126,7 @@ class TestEquidistribution:
         lambda theta: orbit(0.0, theta, 10),
         lambda theta: birkhoff_average(TrigPolynomial(c0=1.0), x=0.0, theta=theta, n=10),
         lambda theta: equidistribution_test(theta, 0.0, 0.5, x0=0.0, n=10),
-        # unchecked, a nan angle never returns and the scan runs to its 1e9-step cap
+        # unchecked, a nan angle never returns and the scan runs out its step budget
         lambda theta: kac_return_time(theta, (0.0, 1.0), x0=0.0, n_returns=1),
     ],
     ids=["rotate", "orbit", "birkhoff_average", "equidistribution_test", "kac_return_time"],
@@ -150,6 +152,40 @@ class TestKacReturnTime:
     def test_tenth_arc_mean_return(self):
         mean = kac_return_time(GOLDEN_CONJUGATE, (0.0, 0.1), x0=0.0, n_returns=10_000)
         assert mean == pytest.approx(10.0, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "theta, arc, n_returns",
+        [
+            (0.5, (0.0, 0.25), 100),
+            (0.3, (0.0, 0.1), 100),
+            (1 / 3, (0.0, 0.5), 100),
+            (1 / 3, (0.2, 0.7), 100),
+            # the hits run past the first chunk of the scan
+            (GOLDEN_CONJUGATE, (0.0, 0.25), 100_000),
+        ],
+    )
+    def test_matches_brute_force_hit_gaps(self, theta, arc, n_returns):
+        a, b = arc
+        pts = orbit(a, theta, math.ceil(4 * n_returns / (b - a)))
+        hits = np.flatnonzero((pts >= a) & (pts < b))
+        if n_returns == 100_000:
+            assert hits[n_returns] > rotation._ORBIT_CHUNK
+        expected = float(np.mean(np.diff(hits)[:n_returns]))
+        assert kac_return_time(theta, arc, x0=a, n_returns=n_returns) == expected
+
+    def test_budget_over_cap_rejected_before_scanning(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("orbit scanned")
+
+        monkeypatch.setattr(rotation, "_orbit_chunk", no_scan)
+        with pytest.raises(ValueError, match="orbit steps"):
+            kac_return_time(SQRT2, (0.0, 1e-4), x0=0.0, n_returns=100_000)
+
+    def test_near_rational_angle_runs_out_of_budget(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="theta 0.999999999999"):
+            kac_return_time(0.999999999999, (0.0, 0.1), x0=0.0, n_returns=1000)
+        assert time.perf_counter() - start < 1.0
 
     def test_start_point_must_be_inside_arc(self):
         with pytest.raises(ValueError, match="arc"):

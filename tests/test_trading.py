@@ -212,15 +212,15 @@ class TestOetBoundReport:
         report = oet_bound_report(exc, params)
         assert report.all_contained
         for row in report.rows:
-            assert row.dt_M < row.d_tau
+            assert row["dt_M"] < row["d_tau"]
 
     def test_zero_drift_ratio_is_undefined_marker(self):
         z = sine_fixture()
         exc = build_excursions(z, detect_recurrences(z))
         params = ItoParams(mu=lambda t, x: 0.0, sigma=lambda t, x: 0.2)
         report = oet_bound_report(exc, params)
-        assert all(math.isnan(r.vol_drift_ratio) for r in report.rows)
-        assert not any(r.flagged for r in report.rows)
+        assert all(math.isnan(r["vol_drift_ratio"]) for r in report.rows)
+        assert not any(r["flagged"] for r in report.rows)
 
     def test_flagging_is_descriptive_not_asserted(self):
         z = sine_fixture()
