@@ -4,12 +4,15 @@ diagnostics, pricing sweeps, and the acceptance suite.
 One binary with subcommands (simulate | trade | rotate | price | validate).
 Parameters resolve with precedence flags > config file > defaults; every run
 writes a manifest echoing the fully resolved configuration, so a run is
-reproducible from its manifest alone.  Exit codes: 0 success, 1 validation
-failure, 2 usage/config error.
+reproducible from its manifest alone.  Each subcommand computes everything
+before it hands its files to `_emit`, which creates the output directory and
+writes them and the manifest, so a run that fails writes nothing.  Exit
+codes: 0 success, 1 validation failure, 2 usage/config error.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -90,41 +93,43 @@ def _finite(obj):
     return obj
 
 
-def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
-    with open(path, "w") as fh:
+def _json(obj, sort_keys: bool = False):
+    """A writer of obj as strict JSON, each non-finite float as null."""
+    def write(fh):
         json.dump(_finite(obj), fh, indent=2, sort_keys=sort_keys, allow_nan=False)
         fh.write("\n")
+    return write
 
 
-def _write_manifest(out: Path, command: str, resolved: dict, outputs: list[str]) -> None:
-    _write_json(out / "manifest.json",
-                {"command": command, "config": resolved, "outputs": sorted(outputs)},
-                sort_keys=True)
+def _columns(header: list[str], *columns):
+    """A CSV writer; an array column becomes a list only when the file is written."""
+    return lambda fh: stochastic._write_csv(fh, header, zip(
+        *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
 
 
-def _write_table(out: Path, stem: str, rows: list[dict], fmt: str) -> str:
+def _table(stem: str, rows: list[dict], fmt: str) -> dict:
     if fmt == "json":
-        name = f"{stem}.json"
-        _write_json(out / name, rows)
-    else:
-        name = f"{stem}.csv"
-        header = list(rows[0]) if rows else []
-        _write_csv(out / name, header, ([row[k] for k in header] for row in rows))
-    return name
+        return {f"{stem}.json": _json(rows)}
+    header = list(rows[0]) if rows else []
+    return {f"{stem}.csv": _columns(header, *([row[k] for row in rows] for k in header))}
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        stochastic._write_csv(fh, header, rows)
+def _emit(ctx, command: str, resolved: dict, files: dict) -> Path:
+    """Create --out, write each file, then the manifest that lists them.
 
-
-def _ensure_out(out: str) -> Path:
-    p = Path(out)
+    `files` maps a file name to a function that writes it to an open text file.
+    """
+    out = Path(ctx.obj["out"])
     try:
-        p.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        raise click.UsageError(f"cannot create output directory {out}: {e}")
-    return p
+        raise click.UsageError(f"cannot create output directory {ctx.obj['out']}: {e}")
+    manifest = {"command": command, "config": resolved,
+                "outputs": sorted([*files, "manifest.json"])}
+    for name, write in {**files, "manifest.json": _json(manifest, sort_keys=True)}.items():
+        with open(out / name, "w", newline="") as fh:
+            write(fh)
+    return out
 
 
 class _Command(click.Command):
@@ -141,7 +146,8 @@ class _Command(click.Command):
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON config file; flags override its entries.")
-@click.option("--seed", type=int, default=None, help="Master seed (default 0).")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Master seed, a non-negative integer (default 0).")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Output directory (default ./out).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None,
@@ -150,7 +156,8 @@ class _Command(click.Command):
 def main(ctx, config_path, seed, out_dir, fmt):
     """Log-ergodic process toolkit: simulation, trade timing, and pricing."""
     config = _load_config(config_path)
-    for key, ok in (("seed", _fits(config.get("seed", 0), 0)),
+    config_seed = config.get("seed", 0)
+    for key, ok in (("seed", _fits(config_seed, 0) and config_seed >= 0),
                     ("out", isinstance(config.get("out", "out"), str)),
                     ("format", config.get("format", "csv") in ("csv", "json"))):
         if not ok:
@@ -185,33 +192,22 @@ def simulate(ctx, **flags):
     n_paths = cfg["n_paths"]
     if n_paths < 1:
         raise click.UsageError(f"n_paths must be >= 1, got {n_paths}")
-    out = _ensure_out(ctx.obj["out"])
     seed = ctx.obj["seed"]
 
-    outputs = []
-    paths = []
-    for i in range(n_paths):
-        w = simulate_wiener(grid, path_seed(seed, i))
-        paths.append(stochastic.simulate_gbm(params, w))
+    paths = [stochastic.simulate_gbm(params, simulate_wiener(grid, path_seed(seed, i)))
+             for i in range(n_paths)]
     if cfg["wide"]:
-        name = "paths_wide.csv"
-        _write_csv(out / name, ["t"] + [f"path_{i}" for i in range(n_paths)],
-                   zip(grid.times().tolist(), *(p.values.tolist() for p in paths)))
-        outputs.append(name)
+        files = {"paths_wide.csv": _columns(["t"] + [f"path_{i}" for i in range(n_paths)],
+                                            grid.times(), *(p.values for p in paths))}
     else:
-        for i, p in enumerate(paths):
-            name = f"path_{i:04d}.csv"
-            with open(out / name, "w", newline="") as fh:
-                stochastic.write_path_csv(p, fh)
-            outputs.append(name)
-    name = "paths_header.json"
+        files = {f"path_{i:04d}.csv": functools.partial(stochastic.write_path_csv, p)
+                 for i, p in enumerate(paths)}
     header_params = {"mu": params.mu, "sigma": params.sigma, "s0": params.s0}
-    _write_json(out / name, [stochastic.path_header(p, seed=seed, params=header_params)
-                             for p in paths])
-    outputs.append(name)
+    files["paths_header.json"] = _json(
+        [stochastic.path_header(p, seed=seed, params=header_params) for p in paths])
     resolved = {**cfg, "wide": bool(cfg["wide"]), "seed": seed}
-    _write_manifest(out, "simulate", resolved, outputs + ["manifest.json"])
-    click.echo(f"wrote {len(outputs)} file(s) to {out}")
+    out = _emit(ctx, "simulate", resolved, files)
+    click.echo(f"wrote {len(files)} file(s) to {out}")
 
 
 @main.command(cls=_Command)
@@ -233,7 +229,6 @@ def trade(ctx, input_path, literal_indicator, **flags):
     """Run the Z-process trade-timing pipeline on a price path."""
     cfg = _settings(ctx, "trade", flags)
     params, grid = _gbm_from(cfg)
-    out = _ensure_out(ctx.obj["out"])
     seed = ctx.obj["seed"]
     fmt = ctx.obj["format"]
 
@@ -261,10 +256,6 @@ def trade(ctx, input_path, literal_indicator, **flags):
     ito_params = stochastic.ItoParams(mu=lambda t, x: params.q,
                                       sigma=lambda t, x: params.sigma)
     bounds = trading.oet_bound_report(exc, ito_params)
-    outputs = []
-
-    outputs.append(_write_table(out, "signals", trading.generate_signals(exc), fmt))
-    outputs.append(_write_table(out, "bound_report", bounds.rows, fmt))
     summary = {
         "n_excursions": len(exc),
         "mean_sojourn_above": stats.mean_above,
@@ -275,26 +266,25 @@ def trade(ctx, input_path, literal_indicator, **flags):
         "all_contained": bounds.all_contained,
         "fraction_flagged": bounds.fraction_flagged,
     }
-    _write_json(out / "summary.json", summary)
-    outputs.append("summary.json")
 
     # figure data: price path, and Z with recurrence markers at the level
     t = grid.times()
-    _write_csv(out / "fig1_price.csv", ["t", "price"], zip(t.tolist(), price.values.tolist()))
-    outputs.append("fig1_price.csv")
-
     taus = np.asarray(rec.taus, dtype=float)
     fig_t = np.concatenate([t, taus])
     fig_z = np.concatenate([z.values, np.zeros(len(taus))])
     mark = np.concatenate([np.zeros(len(t), dtype=int), np.ones(len(taus), dtype=int)])
     order = np.lexsort((mark, fig_t))  # stable: grid rows before markers at equal t
-    _write_csv(out / "fig2_zprocess.csv", ["t", "z", "recurrence"],
-               zip(fig_t[order].tolist(), fig_z[order].tolist(), mark[order].tolist()))
-    outputs.append("fig2_zprocess.csv")
+    fig_t, fig_z, mark = fig_t[order], fig_z[order], mark[order]
 
     resolved = {**cfg, "T": grid.T, "dt": grid.dt, "literal_indicator": literal_indicator,
                 "seed": seed, "input": input_path}
-    _write_manifest(out, "trade", resolved, outputs + ["manifest.json"])
+    out = _emit(ctx, "trade", resolved, {
+        **_table("signals", trading.generate_signals(exc), fmt),
+        **_table("bound_report", bounds.rows, fmt),
+        "summary.json": _json(summary),
+        "fig1_price.csv": _columns(["t", "price"], t, price.values),
+        "fig2_zprocess.csv": _columns(["t", "z", "recurrence"], fig_t, fig_z, mark),
+    })
     click.echo(f"{len(exc)} excursion(s), profit {profit:.6f}; wrote {out}")
 
 
@@ -312,7 +302,6 @@ def rotate(ctx, **flags):
     """Rotation diagnostics: frequencies, return times, orbit averages."""
     cfg = _settings(ctx, "rotate", flags)
     theta_spec, n, x0 = cfg["theta"], cfg["n"], cfg["x0"]
-    out = _ensure_out(ctx.obj["out"])
     fmt = ctx.obj["format"]
     seed = ctx.obj["seed"]
 
@@ -352,9 +341,6 @@ def rotate(ctx, **flags):
         avg = rotation.birkhoff_average(phi, x=x0, theta=theta_val, n=n)
         birkhoff_rows.append({"function": label, "average": avg, "target": target,
                              "abs_error": abs(avg - target)})
-    # every table is built before the first is written, so a failed scan leaves no file
-    outputs = [_write_table(out, stem, rows, fmt) for stem, rows in (
-        ("equidistribution", freq_rows), ("kac_returns", kac_rows), ("birkhoff", birkhoff_rows))]
 
     # figure data: circle position of the angle process along a price path
     params = GbmParams(mu=0.1, sigma=0.2, s0=100.0)
@@ -367,12 +353,14 @@ def rotate(ctx, **flags):
     theta_path = rotation.theta_process(z, price, K=strike, cfg=emo_cfg)
     # math.cos/sin per point, not np.cos/np.sin, whose last bits can differ by platform
     angle = (2 * math.pi * np.mod(theta_path.values, 1.0)).tolist()
-    _write_csv(out / "fig3_circle.csv", ["t", "price", "theta", "circle_x", "circle_y"],
-               zip(grid.times().tolist(), price.values.tolist(), theta_path.values.tolist(),
-                   map(math.cos, angle), map(math.sin, angle)))
-    outputs.append("fig3_circle.csv")
-
-    _write_manifest(out, "rotate", {**cfg, "seed": seed}, outputs + ["manifest.json"])
+    out = _emit(ctx, "rotate", {**cfg, "seed": seed}, {
+        **_table("equidistribution", freq_rows, fmt),
+        **_table("kac_returns", kac_rows, fmt),
+        **_table("birkhoff", birkhoff_rows, fmt),
+        "fig3_circle.csv": _columns(["t", "price", "theta", "circle_x", "circle_y"],
+                                    grid.times(), price.values, theta_path.values,
+                                    map(math.cos, angle), map(math.sin, angle)),
+    })
     click.echo(f"wrote rotation diagnostics to {out}")
 
 
@@ -393,7 +381,6 @@ def rotate(ctx, **flags):
 def price(ctx, **flags):
     """Sweep the pricing engines side by side over a (tau, z, X) grid."""
     cfg = _settings(ctx, "price", flags)
-    out = _ensure_out(ctx.obj["out"])
     fmt = ctx.obj["format"]
 
     try:
@@ -433,8 +420,7 @@ def price(ctx, **flags):
                 except ValueError as e:
                     row["error"] = str(e)
                 rows.append(row)
-    outputs = [_write_table(out, "pricing_sweep", rows, fmt)]
-    _write_manifest(out, "price", cfg, outputs + ["manifest.json"])
+    out = _emit(ctx, "price", cfg, _table("pricing_sweep", rows, fmt))
     n_err = sum(1 for r in rows if r["error"])
     click.echo(f"priced {len(rows)} point(s), {n_err} domain error(s); wrote {out}")
 

@@ -13,7 +13,7 @@ round trip is the identity up to quadrature error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +51,9 @@ class EmoConfig:
     wT: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.beta > BETA_MIN:
             raise ValueError(f"beta must exceed 3/2, got {self.beta}")
         if not self.T > 0:
@@ -154,6 +157,8 @@ def apply_iemo(z: SamplePath, c: float, cfg: EmoConfig, dec_shape: DecomposedPat
 
 def construct_z_gbm(params: GbmParams, wiener: WienerPath, beta: float) -> SamplePath:
     """Closed-form Z for a GBM log path: Z = (q t W_T + sigma W) / T^beta."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     if not beta > BETA_MIN:
         raise ValueError(f"beta must exceed 3/2, got {beta}")
     grid = wiener.grid

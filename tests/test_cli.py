@@ -85,10 +85,11 @@ def test_config_file_with_flag_override(runner, tmp_path, command, section, flag
         ("rotate", {"rotate": {"arcs": None}}, "rotate.arcs"),
         ("price", {"price": "0.5"}, "config price"),
         ("simulate", {"seed": "abc"}, "config seed"),
+        ("simulate", {"seed": -1}, "config seed"),
         ("price", {"format": "xml"}, "config format"),
     ],
     ids=["str_for_float", "str_dt", "float_for_int", "bool_for_float", "null_for_str",
-         "section_not_object", "top_level_seed", "top_level_format"],
+         "section_not_object", "top_level_seed", "negative_seed", "top_level_format"],
 )
 def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, config, key):
     cfg = tmp_path / "cfg.json"
@@ -109,14 +110,21 @@ def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, co
         (["--seed", "2", "trade", "--dt", "0.001", "--long-leverage", "-1"], "leverage l"),
         (["--seed", "2", "trade", "--dt", "0.001", "--eps", "nan"], "eps"),
         (["--seed", "2", "trade", "--dt", "0.001", "--long-leverage", "nan"], "leverage l"),
+        (["trade", "--beta", "inf"], "beta must be finite"),
+        (["--seed", "-1", "simulate"], "--seed"),
+        (["--seed", "-1", "rotate", "--n", "1000"], "--seed"),
+        (["price", "--taus", "x"], "bad sweep grid"),
+        (["simulate", "--mu", "1000", "--t-horizon", "10", "--dt", "0.01"], "finite"),
     ],
     ids=["x0", "n", "intervals", "arcs", "beta", "negative_leverage", "nan_eps",
-         "nan_leverage"],
+         "nan_leverage", "inf_beta", "negative_seed_simulate", "negative_seed_rotate",
+         "bad_taus", "overflowing_path"],
 )
 def test_out_of_domain_setting_is_usage_error(runner, tmp_path, args, name):
     result = runner.invoke(main, ["--out", str(tmp_path / "o")] + args)
     assert result.exit_code == 2, result.output
     assert name in result.output
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf"])
@@ -403,7 +411,7 @@ class TestRotate:
             main, ["--out", str(out), "rotate", "--theta", "0.999999999999", "--n", "1000"])
         assert result.exit_code == 2, result.output
         assert "theta 0.999999999999" in result.output
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_unknown_theta_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(

@@ -114,6 +114,12 @@ class TestApplyEmo:
         with pytest.raises(ValueError, match="beta"):
             EmoConfig(beta=1.5, T=1.0, wT=0.3)
 
+    @pytest.mark.parametrize("name", ["beta", "T", "wT"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_setting_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            EmoConfig(**{"beta": 2.0, "T": 1.0, "wT": 0.3, name: value})
+
     def test_horizon_mismatch_rejected(self):
         dec = random_decomposition(0, TimeGrid(T=1.0, dt=0.1))
         with pytest.raises(ValueError, match="horizon"):
@@ -214,6 +220,12 @@ class TestConstructZGbm:
         w = simulate_wiener(TimeGrid(T=1.0, dt=0.1), seed=1)
         with pytest.raises(ValueError, match="beta"):
             construct_z_gbm(GBM, w, beta=1.4)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_beta_rejected(self, beta):
+        w = simulate_wiener(TimeGrid(T=1.0, dt=0.1), seed=1)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            construct_z_gbm(GBM, w, beta=beta)
 
 
 class TestErgodicityDiagnostic:
