@@ -134,13 +134,16 @@ def _emit(ctx, command: str, resolved: dict, files: dict) -> Path:
 
 class _Command(click.Command):
     """A subcommand whose settings the library rejects with a ValueError, such
-    as an out-of-domain value, ends with a usage error (exit 2), not a traceback."""
+    as an out-of-domain value, or that need more memory than there is, ends
+    with a usage error (exit 2), not a traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ValueError as e:
             raise click.UsageError(str(e), ctx) from None
+        except MemoryError as e:
+            raise click.UsageError(f"not enough memory for these settings: {e}", ctx) from None
 
 
 @click.group()
@@ -242,7 +245,7 @@ def trade(ctx, input_path, literal_indicator, **flags):
         logp = stochastic.log_path(price)
         # recover the driving Wiener values from the log path
         w_vals = (logp.values - logp.values[0] - params.q * grid.times()) / params.sigma
-        wiener = stochastic.WienerPath(grid=grid, w=w_vals - w_vals[0])
+        wiener = stochastic.WienerPath(grid=grid, w=w_vals)
     else:
         wiener = simulate_wiener(grid, path_seed(seed, 0))
         price = stochastic.simulate_gbm(params, wiener)
@@ -269,12 +272,11 @@ def trade(ctx, input_path, literal_indicator, **flags):
 
     # figure data: price path, and Z with recurrence markers at the level
     t = grid.times()
-    taus = np.asarray(rec.taus, dtype=float)
-    fig_t = np.concatenate([t, taus])
-    fig_z = np.concatenate([z.values, np.zeros(len(taus))])
-    mark = np.concatenate([np.zeros(len(t), dtype=int), np.ones(len(taus), dtype=int)])
-    order = np.lexsort((mark, fig_t))  # stable: grid rows before markers at equal t
-    fig_t, fig_z, mark = fig_t[order], fig_z[order], mark[order]
+    # t and taus are sorted: merge, with each marker after a grid row at its time
+    at = np.searchsorted(t, rec.taus, "right")
+    fig_t = np.insert(t, at, rec.taus)
+    fig_z = np.insert(z.values, at, 0.0)
+    mark = np.insert(np.zeros(len(t), dtype=int), at, 1)
 
     resolved = {**cfg, "T": grid.T, "dt": grid.dt, "literal_indicator": literal_indicator,
                 "seed": seed, "input": input_path}
@@ -343,12 +345,12 @@ def rotate(ctx, **flags):
                              "abs_error": abs(avg - target)})
 
     # figure data: circle position of the angle process along a price path
-    params = GbmParams(mu=0.1, sigma=0.2, s0=100.0)
-    grid = TimeGrid(T=1.0, dt=1e-3)
+    params, grid = _gbm_from(_GBM_DEFAULTS)
+    beta = DEFAULTS["trade"]["beta"]
     w = simulate_wiener(grid, path_seed(seed, 0))
     price = stochastic.simulate_gbm(params, w)
-    z = construct_z_gbm(params, w, beta=2.0)
-    emo_cfg = EmoConfig(beta=2.0, T=grid.T, wT=w.terminal)
+    z = construct_z_gbm(params, w, beta=beta)
+    emo_cfg = EmoConfig(beta=beta, T=grid.T, wT=w.terminal)
     strike = 0.5 * float(np.min(price.values))
     theta_path = rotation.theta_process(z, price, K=strike, cfg=emo_cfg)
     # math.cos/sin per point, not np.cos/np.sin, whose last bits can differ by platform

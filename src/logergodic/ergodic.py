@@ -103,7 +103,7 @@ def decompose(path: SamplePath, params: ItoParams, wiener: WienerPath) -> Decomp
     if not (path.grid.compatible(wiener.grid)):
         raise ValueError("path and wiener must share a grid")
     t = path.grid.times()
-    y = np.asarray(path.values)
+    y = path.values
     mu_vals = np.array([params.mu(tk, yk) for tk, yk in zip(t, y)])
     d = np.empty_like(mu_vals)
     d[0] = 0.0
@@ -157,14 +157,9 @@ def apply_iemo(z: SamplePath, c: float, cfg: EmoConfig, dec_shape: DecomposedPat
 
 def construct_z_gbm(params: GbmParams, wiener: WienerPath, beta: float) -> SamplePath:
     """Closed-form Z for a GBM log path: Z = (q t W_T + sigma W) / T^beta."""
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
-    if not beta > BETA_MIN:
-        raise ValueError(f"beta must exceed 3/2, got {beta}")
     grid = wiener.grid
-    t = grid.times()
-    scale = grid.T**beta
-    z = (params.q * t * wiener.terminal + params.sigma * wiener.w) / scale
+    cfg = EmoConfig(beta=beta, T=grid.T, wT=wiener.terminal)  # checks beta
+    z = (params.q * grid.times() * cfg.wT + params.sigma * wiener.w) / cfg.T**cfg.beta
     return SamplePath(grid=grid, values=z, kind=PathKind.ZPROCESS)
 
 

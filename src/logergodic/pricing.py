@@ -157,9 +157,7 @@ def derive_coefficients(inputs: PricingInputs) -> DerivedCoefficients:
     Self-checks the definition identity lam * r * |z| = T^beta * B^2.
     """
     inputs.require_ergodic_domain()
-    delta = inputs.T - inputs.tau
-    if not delta > 0:
-        raise ValueError(f"need delta = T - tau > 0, got {delta}")
+    delta = inputs.T - inputs.tau  # > 0: the domain requires tau < T, both finite
     q = inputs.mu - 0.5 * inputs.sigma**2
     B = q / delta ** (inputs.beta - 1) + inputs.sigma / delta**inputs.beta
     if B == 0.0:

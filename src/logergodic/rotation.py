@@ -228,14 +228,14 @@ def theta_process(
         raise ValueError("z and price paths must share a grid")
     if K < 0:
         raise ValueError(f"strike must be nonnegative, got {K}")
-    s = np.asarray(price.values)
+    s = price.values
     bad = np.nonzero(s <= K)[0]
     if bad.size:
         raise ValueError(
             f"price {s[bad[0]]} <= strike {K} at index {bad[0]}: option not exercisable"
         )
     gamma = np.log1p(-K / s)
-    values = np.asarray(z.values) + (cfg.wT / cfg.T**cfg.beta) * gamma
+    values = z.values + (cfg.wT / cfg.T**cfg.beta) * gamma
     return ThetaPath(grid=z.grid, values=values, gamma=gamma)
 
 

@@ -134,6 +134,8 @@ class SamplePath:
     kind: PathKind
 
     def __post_init__(self):
+        # a float64 array is kept as is, not copied
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if len(self.values) != self.grid.n + 1:
             raise ValueError(
                 f"path has {len(self.values)} values, grid expects {self.grid.n + 1}"
@@ -142,7 +144,7 @@ class SamplePath:
         if bad.size:
             raise ValueError(f"path values must be finite, got {self.values[bad[0]]} "
                              f"at index {bad[0]}")
-        if self.kind is PathKind.PRICE and not np.all(np.asarray(self.values) > 0):
+        if self.kind is PathKind.PRICE and not np.all(self.values > 0):
             raise ValueError("price paths must be strictly positive")
 
 
@@ -168,8 +170,13 @@ def simulate_wiener(grid: TimeGrid, seed) -> WienerPath:
 def simulate_gbm(params: GbmParams, wiener: WienerPath) -> SamplePath:
     """Exact GBM path S = s0 * exp(q t + sigma W); no Euler error."""
     t = wiener.grid.times()
-    s = params.s0 * np.exp(params.q * t + params.sigma * wiener.w)
-    return SamplePath(grid=wiener.grid, values=s, kind=PathKind.PRICE)
+    with np.errstate(over="ignore"):  # an inf or 0 price fails SamplePath's checks
+        s = params.s0 * np.exp(params.q * t + params.sigma * wiener.w)
+    try:
+        return SamplePath(grid=wiener.grid, values=s, kind=PathKind.PRICE)
+    except ValueError as e:
+        raise ValueError(f"mu = {params.mu}, sigma = {params.sigma} and s0 = {params.s0} over "
+                         f"T = {wiener.grid.T} take the price out of the float range: {e}") from None
 
 
 def simulate_ito(params: ItoParams, wiener: WienerPath) -> SamplePath:
@@ -194,7 +201,7 @@ def log_path(price: SamplePath) -> SamplePath:
     """Pointwise natural log of a price path."""
     if price.kind is not PathKind.PRICE:
         raise ValueError(f"log_path expects a price path, got {price.kind.value}")
-    v = np.asarray(price.values)
+    v = price.values
     bad = np.nonzero(v <= 0)[0]
     if bad.size:
         raise ValueError(f"non-positive price at index {bad[0]}: {v[bad[0]]}")
@@ -224,8 +231,7 @@ def _write_csv(fh: IO[str], header: list[str], rows) -> None:
 
 
 def write_path_csv(path: SamplePath, fh: IO[str]) -> None:
-    values = np.asarray(path.values, dtype=float)
-    _write_csv(fh, ["t", "value"], zip(path.grid.times().tolist(), values.tolist()))
+    _write_csv(fh, ["t", "value"], zip(path.grid.times().tolist(), path.values.tolist()))
 
 
 def read_path_csv(fh: IO[str], kind: PathKind) -> SamplePath:

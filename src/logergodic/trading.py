@@ -132,14 +132,10 @@ def detect_recurrences(z: SamplePath, eps: float = 0.0) -> RecurrenceSet:
         raise ValueError(f"detect_recurrences expects a zprocess path, got {z.kind.value}")
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    v = np.asarray(z.values, dtype=float)
+    v = z.values
     t = z.grid.times()
     dt = z.grid.dt
-    vmax = float(np.max(np.abs(v)))
-    if vmax == 0.0:
-        # identically-zero path: single return at 0, no excursions
-        return RecurrenceSet(taus=np.array([0.0]))
-    eff = max(eps, _ZERO_FLOOR_REL * vmax)
+    eff = max(eps, _ZERO_FLOOR_REL * float(np.max(np.abs(v))))
 
     at_level = np.abs(v) <= eff
     n = len(v)
@@ -182,7 +178,7 @@ def subgrid_crossing_probability(z: SamplePath) -> float:
     """
     if z.kind is not PathKind.ZPROCESS:
         raise ValueError(f"subgrid_crossing_probability expects a zprocess path, got {z.kind.value}")
-    v = np.asarray(z.values, dtype=float)
+    v = z.values
     dt = z.grid.dt
     step_vol = float(np.std(np.diff(v))) / math.sqrt(dt)
     if step_vol <= 0:
@@ -204,7 +200,7 @@ def build_excursions(z: SamplePath, rec: RecurrenceSet) -> list[Excursion]:
     argmax ties break to the earliest time so the exit time is deterministic.
     """
     taus = np.asarray(rec.taus, dtype=float)
-    v = np.asarray(z.values)
+    v = z.values
     t = z.grid.times()
     # grid indices lo..hi-1 lie strictly inside (tau_i, tau_{i+1})
     lo = np.searchsorted(t, taus[:-1], "right")
@@ -304,7 +300,7 @@ def build_ledger(
     if not price.grid.compatible(z.grid):
         raise ValueError("price and z paths must share a grid")
     times = np.array([(e.start, e.tM) for e in excursions], dtype=float).reshape(-1, 2)
-    entries, exits = np.asarray(price.values)[price.grid.index_of(times)].T
+    entries, exits = price.values[price.grid.index_of(times)].T
     return TradeLedger(
         excursions=tuple(excursions), entry_prices=entries, exit_prices=exits, l=l, s=s
     )

@@ -267,32 +267,27 @@ def criterion_12() -> CriterionResult:
                            f"rotate={r3.exit_code}")
         problems = []
 
-        fig2 = out / "trade" / "fig2_zprocess.csv"
-        with open(fig2) as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows or set(rows[0]) < {"t", "z", "recurrence"}:
-            problems.append(f"{fig2.name}: missing columns")
-        else:
-            zvals = np.array([float(r["z"]) for r in rows])
-            marks = np.array([r["recurrence"] == "1" for r in rows])
+        fig2_rows = None
+        for fig, cols in ((out / "trade" / "fig2_zprocess.csv", {"t", "z", "recurrence"}),
+                          (out / "rot" / "fig3_circle.csv",
+                           {"t", "price", "theta", "circle_x", "circle_y"}),
+                          (out / "trade" / "fig1_price.csv", {"t", "price"})):
+            with open(fig) as fh:
+                rows = list(csv.DictReader(fh))
+            if not rows or not cols <= set(rows[0]):
+                problems.append(f"{fig.name}: missing columns")
+            elif fig.name == "fig2_zprocess.csv":
+                fig2_rows = rows
+
+        if fig2_rows:
+            zvals = np.array([float(r["z"]) for r in fig2_rows])
+            marks = np.array([r["recurrence"] == "1" for r in fig2_rows])
             if not marks.any():
-                problems.append(f"{fig2.name}: no recurrence markers")
+                problems.append("fig2_zprocess.csv: no recurrence markers")
             elif np.max(np.abs(zvals[marks])) > 1e-6 * max(1.0, np.max(np.abs(zvals))):
-                problems.append(f"{fig2.name}: marked rows not near the reference level")
+                problems.append("fig2_zprocess.csv: marked rows not near the reference level")
             if not (zvals.max() > 0 > zvals.min()):
-                problems.append(f"{fig2.name}: Z does not oscillate about 0")
-
-        fig3 = out / "rot" / "fig3_circle.csv"
-        with open(fig3) as fh:
-            rows3 = list(csv.DictReader(fh))
-        if not rows3 or set(rows3[0]) < {"t", "price", "theta", "circle_x", "circle_y"}:
-            problems.append(f"{fig3.name}: missing columns")
-
-        fig1 = out / "trade" / "fig1_price.csv"
-        with open(fig1) as fh:
-            rows1 = list(csv.DictReader(fh))
-        if not rows1 or set(rows1[0]) < {"t", "price"}:
-            problems.append(f"{fig1.name}: missing columns")
+                problems.append("fig2_zprocess.csv: Z does not oscillate about 0")
 
         ok = not problems
         return _result(12, "CLI figure data structurally valid", ok,

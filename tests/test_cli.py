@@ -14,10 +14,14 @@ import logergodic
 from logergodic import (
     EmoConfig,
     GbmParams,
+    PathKind,
     TimeGrid,
+    WienerPath,
     construct_z_gbm,
     detect_recurrences,
+    log_path,
     path_seed,
+    read_path_csv,
     simulate_gbm,
     simulate_wiener,
     theta_process,
@@ -45,6 +49,14 @@ def expected_csv(header: list[str], *columns) -> bytes:
 
 def floats(values) -> list[float]:
     return [float(v) for v in values]
+
+
+def fig2_bytes(t, z, taus) -> bytes:
+    """fig2 by hand: grid rows and level markers sorted by (t, mark), so a
+    marker follows the grid row at its own time."""
+    rows = [(tk, zk, 0) for tk, zk in zip(floats(t), floats(z))]
+    rows = sorted(rows + [(tau, 0.0, 1) for tau in floats(taus)], key=lambda r: (r[0], r[2]))
+    return expected_csv(["t", "z", "recurrence"], *zip(*rows))
 
 
 @pytest.mark.parametrize(
@@ -114,11 +126,20 @@ def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, co
         (["--seed", "-1", "simulate"], "--seed"),
         (["--seed", "-1", "rotate", "--n", "1000"], "--seed"),
         (["price", "--taus", "x"], "bad sweep grid"),
-        (["simulate", "--mu", "1000", "--t-horizon", "10", "--dt", "0.01"], "finite"),
+        (["simulate", "--mu", "1000", "--t-horizon", "10", "--dt", "0.01"],
+         "mu = 1000.0, sigma = 0.2 and s0 = 100.0 over T = 10.0 take the price out of the "
+         "float range: path values must be finite"),
+        (["simulate", "--mu", "-1000", "--t-horizon", "10", "--dt", "0.01"],
+         "mu = -1000.0, sigma = 0.2 and s0 = 100.0 over T = 10.0 take the price out of the "
+         "float range: price paths must be strictly positive"),
+        # 8e15 bytes exceed any process's address space: the allocation fails at once
+        (["simulate", "--dt", "1e-15"], "not enough memory for these settings"),
+        (["trade", "--dt", "1e-15"], "not enough memory for these settings"),
     ],
     ids=["x0", "n", "intervals", "arcs", "beta", "negative_leverage", "nan_eps",
          "nan_leverage", "inf_beta", "negative_seed_simulate", "negative_seed_rotate",
-         "bad_taus", "overflowing_path"],
+         "bad_taus", "overflowing_path", "underflowing_path", "huge_grid_simulate",
+         "huge_grid_trade"],
 )
 def test_out_of_domain_setting_is_usage_error(runner, tmp_path, args, name):
     result = runner.invoke(main, ["--out", str(tmp_path / "o")] + args)
@@ -201,16 +222,35 @@ class TestArtefactFormat:
         w = simulate_wiener(grid, path_seed(2, 0))
         price = simulate_gbm(self.params, w)
         z = construct_z_gbm(self.params, w, beta=2.0)
-        taus = floats(detect_recurrences(z).taus)
-        rows = [(tk, zk, 0) for tk, zk in zip(floats(grid.times()), floats(z.values))]
-        rows = sorted(rows + [(tau, 0.0, 1) for tau in taus], key=lambda r: (r[0], r[2]))
         result = runner.invoke(main, ["--seed", "2", "--out", str(tmp_path), "trade",
                                       "--dt", "0.001"])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "fig1_price.csv").read_bytes() == expected_csv(
             ["t", "price"], floats(grid.times()), floats(price.values))
-        assert (tmp_path / "fig2_zprocess.csv").read_bytes() == expected_csv(
-            ["t", "z", "recurrence"], *zip(*rows))
+        assert (tmp_path / "fig2_zprocess.csv").read_bytes() == fig2_bytes(
+            grid.times(), z.values, detect_recurrences(z).taus)
+
+    def test_trade_figure_marks_follow_grid_rows_at_equal_times(self, runner, tmp_path):
+        # W = 0.5 sin(6 pi t), set to exactly 0 at t = 0, 0.5 and 1: Z is at
+        # the level on those grid points, so recurrences tie with grid times
+        grid = TimeGrid(T=1.0, dt=0.005)
+        t = grid.times()
+        w = 0.5 * np.sin(6 * math.pi * t)
+        w[[0, 100, 200]] = 0.0
+        s = 100.0 * np.exp(self.params.q * t + 0.2 * w)
+        src = tmp_path / "tie.csv"
+        src.write_text("t,value\n" + "".join(f"{a!r},{b!r}\n"
+                                             for a, b in zip(t.tolist(), s.tolist())))
+        with open(src) as fh:
+            logp = log_path(read_path_csv(fh, PathKind.PRICE)).values
+        wiener = WienerPath(grid=grid, w=(logp - logp[0] - self.params.q * t) / 0.2)
+        z = construct_z_gbm(self.params, wiener, beta=2.0)
+        taus = detect_recurrences(z).taus
+        assert {0.0, 0.5, 1.0} <= set(floats(taus))
+        result = runner.invoke(main, ["--out", str(tmp_path / "o"), "trade", "--input", str(src)])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "o" / "fig2_zprocess.csv").read_bytes() == fig2_bytes(
+            t, z.values, taus)
 
     def test_rotate_circle(self, runner, tmp_path):
         grid = TimeGrid(T=1.0, dt=1e-3)
