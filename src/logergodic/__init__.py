@@ -1,6 +1,6 @@
 """Toolkit for log-ergodic price processes.
 
-Simulates Wiener/GBM/Ito paths, transforms them into mean-reverting Z
+Simulates Wiener/GBM paths, transforms them into mean-reverting Z
 processes, extracts recurrence and sojourn statistics for trade timing,
 runs circle-rotation ergodicity diagnostics, and prices European calls
 through three mutually cross-checking engines.

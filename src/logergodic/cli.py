@@ -256,9 +256,7 @@ def trade(ctx, input_path, literal_indicator, **flags):
     stats = trading.sojourn_stats(exc)
     ledger = trading.build_ledger(z, price, exc, l=cfg["l"], s=cfg["s"])
     profit = trading.trade_profit(ledger, literal_indicator=literal_indicator)
-    ito_params = stochastic.ItoParams(mu=lambda t, x: params.q,
-                                      sigma=lambda t, x: params.sigma)
-    bounds = trading.oet_bound_report(exc, ito_params)
+    bounds = trading.oet_bound_report(exc, params.q, params.sigma)
     summary = {
         "n_excursions": len(exc),
         "mean_sojourn_above": stats.mean_above,

@@ -18,20 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .stochastic import (
-    GbmParams,
-    ItoParams,
-    PathKind,
-    SamplePath,
-    TimeGrid,
-    WienerPath,
-)
+from .stochastic import GbmParams, PathKind, SamplePath, TimeGrid, WienerPath
 
 __all__ = [
     "EmoConfig",
     "DecomposedPath",
     "DiagnosticCurve",
-    "decompose",
     "apply_emo",
     "emo_decomposition",
     "apply_iemo",
@@ -89,29 +81,6 @@ class DiagnosticCurve:
             raise ValueError("horizons and values must have equal length")
         if np.any(np.diff(self.horizons) <= 0):
             raise ValueError("horizons must be strictly increasing")
-
-
-def decompose(path: SamplePath, params: ItoParams, wiener: WienerPath) -> DecomposedPath:
-    """Split a log path into drift and martingale parts.
-
-    The drift part is the trapezoidal cumulative integral of mu along the
-    path; the martingale part is assigned as the residual Y - y0 - D, so the
-    reconstruction y0 + D + R is exact by construction.
-    """
-    if path.kind is not PathKind.LOGPRICE:
-        raise ValueError(f"decompose expects a logprice path, got {path.kind.value}")
-    if not (path.grid.compatible(wiener.grid)):
-        raise ValueError("path and wiener must share a grid")
-    t = path.grid.times()
-    y = path.values
-    mu_vals = np.array([params.mu(tk, yk) for tk, yk in zip(t, y)])
-    d = np.empty_like(mu_vals)
-    d[0] = 0.0
-    np.cumsum(0.5 * (mu_vals[1:] + mu_vals[:-1]) * path.grid.dt, out=d[1:])
-    y0 = float(y[0])
-    r = y - y0 - d
-    r[0] = 0.0
-    return DecomposedPath(grid=path.grid, y0=y0, drift_part=d, mart_part=r)
 
 
 def emo_decomposition(dec: DecomposedPath, cfg: EmoConfig) -> DecomposedPath:

@@ -30,13 +30,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .ergodic import BETA_MIN
+
 __all__ = [
     "PricingInputs",
     "DerivedCoefficients",
     "HeatProblem",
     "PriceResult",
     "normal_cdf",
-    "gamma_delta",
     "price_rotation_call",
     "derive_coefficients",
     "price_ergodic_bs",
@@ -74,7 +75,7 @@ class PricingInputs:
             raise ValueError(f"strike must be positive, got {self.K}")
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
-        if not self.beta > 1.5:
+        if not self.beta > BETA_MIN:
             raise ValueError(f"beta must exceed 3/2, got {self.beta}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
@@ -117,15 +118,6 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def gamma_delta(S: float, K: float) -> float:
-    """ln(1 - K/S); defined for S > K >= 0, with gamma -> 0 as K -> 0."""
-    if K < 0:
-        raise ValueError(f"strike must be nonnegative, got {K}")
-    if not S > K:
-        raise ValueError(f"price {S} must exceed strike {K}: option not exercisable")
-    return math.log1p(-K / S)
-
-
 @dataclass(frozen=True)
 class PriceResult:
     price: float
@@ -137,15 +129,16 @@ class PriceResult:
 
 
 def price_rotation_call(inputs: PricingInputs) -> PriceResult:
-    """Rotation closed form: exp(-r t) * ((wT / T^beta) gamma - K).
+    """Rotation closed form: exp(-r t) * ((wT / T^beta) gamma - K) with
+    gamma = ln(1 - K / s_t0).
 
     The formula is evaluated as written; it can be negative, in which case a
     "negative_price" flag accompanies the raw value.
     """
     inputs.require_rotation_domain()
-    g = gamma_delta(inputs.s_t0, inputs.K)
+    gamma = math.log1p(-inputs.K / inputs.s_t0)  # 0 < K < s_t0
     price = math.exp(-inputs.r * inputs.t) * (
-        (inputs.wT / inputs.T**inputs.beta) * g - inputs.K
+        (inputs.wT / inputs.T**inputs.beta) * gamma - inputs.K
     )
     flags = ("negative_price",) if price < 0 else ()
     return PriceResult(price=price, flags=flags)
@@ -154,28 +147,31 @@ def price_rotation_call(inputs: PricingInputs) -> PriceResult:
 def derive_coefficients(inputs: PricingInputs) -> DerivedCoefficients:
     """All scalar coefficients of the ergodic valuation, recomputed fresh.
 
-    Self-checks the definition identity lam * r * |z| = T^beta * B^2.
+    Settings whose coefficients leave the float range raise ValueError.
     """
     inputs.require_ergodic_domain()
     delta = inputs.T - inputs.tau  # > 0: the domain requires tau < T, both finite
-    q = inputs.mu - 0.5 * inputs.sigma**2
-    B = q / delta ** (inputs.beta - 1) + inputs.sigma / delta**inputs.beta
-    if B == 0.0:
-        raise ValueError("B = 0: diffusion coefficient vanishes")
-    tb = inputs.T**inputs.beta
-    eta = B**2 * inputs.T ** (2 * inputs.beta)
-    p = inputs.r * abs(inputs.z) * inputs.tau * tb
-    lam = tb * B**2 / (inputs.r * abs(inputs.z))
-    y = tb * inputs.z - q * (inputs.wT - delta)
-    a = 0.5 - inputs.r * inputs.z / (B**2 * tb)
-    b = (
-        (4 * inputs.r * inputs.z * tb - B**2 * inputs.T ** (2 * inputs.beta)) / 8
-        - inputs.r**2 * inputs.z**2 / (2 * B**2)
-        - inputs.r
-    )
-    assert abs(lam * inputs.r * abs(inputs.z) - tb * B**2) <= 1e-12 * max(
-        1.0, abs(tb * B**2)
-    )
+    try:
+        q = inputs.mu - 0.5 * inputs.sigma**2
+        B = q / delta ** (inputs.beta - 1) + inputs.sigma / delta**inputs.beta
+        if B == 0.0:
+            raise ValueError("B = 0: diffusion coefficient vanishes")
+        tb = inputs.T**inputs.beta
+        eta = B**2 * inputs.T ** (2 * inputs.beta)
+        p = inputs.r * abs(inputs.z) * inputs.tau * tb
+        lam = tb * B**2 / (inputs.r * abs(inputs.z))
+        y = tb * inputs.z - q * (inputs.wT - delta)
+        a = 0.5 - inputs.r * inputs.z / (B**2 * tb)
+        b = (
+            (4 * inputs.r * inputs.z * tb - B**2 * inputs.T ** (2 * inputs.beta)) / 8
+            - inputs.r**2 * inputs.z**2 / (2 * B**2)
+            - inputs.r
+        )
+    except (OverflowError, ZeroDivisionError):  # a power over- or underflows
+        raise ValueError(
+            f"T = {inputs.T}, tau = {inputs.tau}, beta = {inputs.beta}, mu = {inputs.mu}, "
+            f"sigma = {inputs.sigma}, r = {inputs.r} and z = {inputs.z} put the pricing "
+            "coefficients outside the float range") from None
     return DerivedCoefficients(q=q, B=B, eta=eta, p=p, lam=lam, y=y, a=a, b=b)
 
 

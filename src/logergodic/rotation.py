@@ -22,15 +22,12 @@ __all__ = [
     "GOLDEN_CONJUGATE",
     "ThetaPath",
     "TrigPolynomial",
-    "TabulatedPeriodic",
-    "ThetaMomentReport",
     "rotate",
     "orbit",
     "birkhoff_average",
     "equidistribution_test",
     "kac_return_time",
     "theta_process",
-    "theta_moment_check",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -86,24 +83,6 @@ class TrigPolynomial:
     @property
     def integral(self) -> float:
         return self.c0
-
-
-class TabulatedPeriodic:
-    """Periodic function given by samples on a uniform grid over [0, 1]."""
-
-    def __init__(self, samples: Sequence[float]):
-        samples = np.asarray(samples, dtype=float)
-        if len(samples) < 2:
-            raise ValueError("need at least 2 samples")
-        if abs(samples[0] - samples[-1]) > _PERIODICITY_TOL:
-            raise ValueError(
-                f"samples do not wrap: phi(0)={samples[0]} vs phi(1)={samples[-1]}"
-            )
-        self.samples = samples
-        self.xs = np.linspace(0.0, 1.0, len(samples))
-
-    def __call__(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.samples)
 
 
 def _check_periodic(phi: Callable) -> None:
@@ -237,42 +216,3 @@ def theta_process(
     gamma = np.log1p(-K / s)
     values = z.values + (cfg.wT / cfg.T**cfg.beta) * gamma
     return ThetaPath(grid=z.grid, values=values, gamma=gamma)
-
-
-@dataclass(frozen=True)
-class ThetaMomentReport:
-    anchor_times: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-    stderrs: np.ndarray
-    mean_zero_ok: bool  # |mean| <= 3 stderr at every anchor
-
-
-def theta_moment_check(
-    ensemble: Sequence[ThetaPath], anchor_times: Sequence[float] | None = None
-) -> ThetaMomentReport:
-    """Ensemble mean/variance of the angle at a set of time anchors.
-
-    Asserts only the mean-zero property (within 3 standard errors); the
-    variance is reported, not checked against a formula.
-    """
-    if len(ensemble) < 1:
-        raise ValueError("ensemble must contain at least 1 path")
-    grid = ensemble[0].grid
-    if anchor_times is None:
-        anchor_times = [grid.T * f for f in (0.25, 0.5, 0.75, 1.0)]
-    anchor_times = np.asarray(anchor_times, dtype=float)
-    idx = grid.index_of(anchor_times)
-    values_matrix = np.vstack([p.values for p in ensemble])[:, idx]
-    n = values_matrix.shape[0]
-    means = values_matrix.mean(axis=0)
-    variances = values_matrix.var(axis=0, ddof=1) if n > 1 else np.zeros(len(idx))
-    stderrs = np.sqrt(variances / n)
-    ok = bool(np.all(np.abs(means) <= 3 * stderrs + 1e-300))
-    return ThetaMomentReport(
-        anchor_times=anchor_times,
-        means=means,
-        variances=variances,
-        stderrs=stderrs,
-        mean_zero_ok=ok,
-    )

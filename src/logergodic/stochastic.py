@@ -1,4 +1,4 @@
-"""Seeded simulation of Wiener, geometric Brownian, and general Ito paths.
+"""Seeded simulation of Wiener and geometric Brownian paths, and CSV path I/O.
 
 All generators are pure functions of their inputs: the same (grid, seed)
 pair always reproduces the same path bit for bit.  Ensembles derive one
@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, IO
+from typing import IO
 
 import numpy as np
 
@@ -20,12 +20,10 @@ __all__ = [
     "PathKind",
     "TimeGrid",
     "WienerPath",
-    "ItoParams",
     "GbmParams",
     "SamplePath",
     "simulate_wiener",
     "simulate_gbm",
-    "simulate_ito",
     "log_path",
     "path_seed",
     "write_path_csv",
@@ -98,15 +96,6 @@ class WienerPath:
 
 
 @dataclass(frozen=True)
-class ItoParams:
-    """Drift and volatility functions of (t, x) for the log process."""
-
-    mu: Callable[[float, float], float]
-    sigma: Callable[[float, float], float]
-    y0: float = 0.0
-
-
-@dataclass(frozen=True)
 class GbmParams:
     mu: float
     sigma: float
@@ -120,6 +109,13 @@ class GbmParams:
             raise ValueError(f"s0 must be positive, got {self.s0}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        try:
+            q_finite = math.isfinite(self.q)
+        except OverflowError:  # sigma**2 beyond the float range
+            q_finite = False
+        if not q_finite:
+            raise ValueError(f"mu = {self.mu} and sigma = {self.sigma} put the log drift "
+                             "q = mu - sigma^2/2 outside the float range")
 
     @property
     def q(self) -> float:
@@ -177,24 +173,6 @@ def simulate_gbm(params: GbmParams, wiener: WienerPath) -> SamplePath:
     except ValueError as e:
         raise ValueError(f"mu = {params.mu}, sigma = {params.sigma} and s0 = {params.s0} over "
                          f"T = {wiener.grid.T} take the price out of the float range: {e}") from None
-
-
-def simulate_ito(params: ItoParams, wiener: WienerPath) -> SamplePath:
-    """Euler-Maruyama integration of the log process dY = mu dt + sigma dW."""
-    grid = wiener.grid
-    t = grid.times()
-    y = np.empty(grid.n + 1)
-    y[0] = params.y0
-    for k in range(grid.n):
-        m = params.mu(t[k], y[k])
-        s = params.sigma(t[k], y[k])
-        if not (math.isfinite(m) and math.isfinite(s)):
-            raise ValueError(
-                f"non-finite coefficients at step {k} (t={t[k]:.6g}, y={y[k]:.6g}): "
-                f"mu={m}, sigma={s}"
-            )
-        y[k + 1] = y[k] + m * grid.dt + s * (wiener.w[k + 1] - wiener.w[k])
-    return SamplePath(grid=grid, values=y, kind=PathKind.LOGPRICE)
 
 
 def log_path(price: SamplePath) -> SamplePath:

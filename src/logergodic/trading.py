@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .stochastic import GbmParams, ItoParams, PathKind, SamplePath, WienerPath
+from .stochastic import PathKind, SamplePath
 
 __all__ = [
     "ExcursionSign",
@@ -29,7 +29,6 @@ __all__ = [
     "subgrid_crossing_probability",
     "build_excursions",
     "sojourn_stats",
-    "simulate_recurrence_sde",
     "oet_bound_report",
     "trade_profit",
     "generate_signals",
@@ -39,8 +38,6 @@ __all__ = [
 # relative floor under which a grid value counts as exactly at the level;
 # guards against endpoint values like sin(2*pi) ~ 1e-16
 _ZERO_FLOOR_REL = 1e-12
-
-_W_SINGULAR = 1e-12
 
 
 class ExcursionSign(Enum):
@@ -110,7 +107,7 @@ class TradeLedger:
 @dataclass(frozen=True)
 class BoundReport:
     # one dict per excursion: i, contained (0/1), vol_drift_ratio =
-    # sigma(tM)/mu(tM) (nan when mu(tM) = 0), dt_M = t_M - tau_i,
+    # sigma / q (nan when q = 0), dt_M = t_M - tau_i,
     # d_tau = tau_{i+1} - tau_i, flagged (0/1) = vol_drift_ratio > d_tau
     rows: tuple
     all_contained: bool
@@ -233,52 +230,19 @@ def sojourn_stats(excursions: Sequence[Excursion]) -> SojournStats:
     )
 
 
-def simulate_recurrence_sde(params: GbmParams, wiener: WienerPath, tau0: float) -> np.ndarray:
-    """Euler path of the recurrence-time dynamics for a GBM underlying.
-
-    d tau = -[(sigma + q tau) / q] dW / W with q = mu - sigma^2/2.  The step
-    at the origin is skipped because W starts at 0 by construction; any other
-    W value within 1e-12 of 0 halts with a diagnostic (the dynamics divide by
-    W and are not regularized).  Steps with a zero Wiener increment leave tau
-    unchanged without touching W.  Returns tau at every grid time.
-    """
-    q = params.q
-    if abs(q) < 1e-15:
-        raise ValueError("q = mu - sigma^2/2 = 0: recurrence-time drift is singular")
-    grid = wiener.grid
-    w = wiener.w
-    taus = np.empty(grid.n + 1)
-    taus[0] = tau0
-    for k in range(grid.n):
-        dw = w[k + 1] - w[k]
-        if dw == 0.0 or k == 0:
-            taus[k + 1] = taus[k]
-            continue
-        if abs(w[k]) < _W_SINGULAR:
-            raise ValueError(
-                f"Wiener path within {_W_SINGULAR} of 0 at step {k}: dynamics singular"
-            )
-        taus[k + 1] = taus[k] - ((params.sigma + q * taus[k]) / q) * dw / w[k]
-    return taus
-
-
-def oet_bound_report(excursions: Sequence[Excursion], params: ItoParams) -> BoundReport:
+def oet_bound_report(excursions: Sequence[Excursion], q: float, sigma: float) -> BoundReport:
     """Descriptive report on exit-time placement inside each excursion.
 
     Containment tau_i < t_M < tau_{i+1} is checked per excursion.  The ratio
-    sigma(t_M)/mu(t_M) is tabulated alongside the increments and an excursion
-    is flagged when the ratio exceeds the sojourn length; no pass threshold
-    is imposed on the flags.
+    sigma / q of the log volatility to the log drift is tabulated alongside
+    the increments and an excursion is flagged when the ratio exceeds the
+    sojourn length; no pass threshold is imposed on the flags.
     """
-    rows = []
-    for e in excursions:
-        z_tm = e.M if e.sign is ExcursionSign.ABOVE else -e.M
-        m = params.mu(e.tM, z_tm)
-        s = params.sigma(e.tM, z_tm)
-        ratio = s / m if m != 0.0 else math.nan
-        rows.append({"i": e.i, "contained": int(e.start < e.tM < e.end),
-                     "vol_drift_ratio": ratio, "dt_M": e.tM - e.start, "d_tau": e.delta,
-                     "flagged": int(not math.isnan(ratio) and ratio > e.delta)})
+    ratio = sigma / q if q != 0.0 else math.nan
+    rows = [{"i": e.i, "contained": int(e.start < e.tM < e.end),
+             "vol_drift_ratio": ratio, "dt_M": e.tM - e.start, "d_tau": e.delta,
+             "flagged": int(not math.isnan(ratio) and ratio > e.delta)}
+            for e in excursions]
     frac = sum(r["flagged"] for r in rows) / len(rows) if rows else 0.0
     return BoundReport(
         rows=tuple(rows),

@@ -135,11 +135,13 @@ def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, co
         # 8e15 bytes exceed any process's address space: the allocation fails at once
         (["simulate", "--dt", "1e-15"], "not enough memory for these settings"),
         (["trade", "--dt", "1e-15"], "not enough memory for these settings"),
+        (["trade", "--sigma", "1e300"], "mu = 0.1 and sigma = 1e+300 put the log drift"),
+        (["simulate", "--sigma", "1e300"], "mu = 0.1 and sigma = 1e+300 put the log drift"),
     ],
     ids=["x0", "n", "intervals", "arcs", "beta", "negative_leverage", "nan_eps",
          "nan_leverage", "inf_beta", "negative_seed_simulate", "negative_seed_rotate",
          "bad_taus", "overflowing_path", "underflowing_path", "huge_grid_simulate",
-         "huge_grid_trade"],
+         "huge_grid_trade", "overflowing_drift_trade", "overflowing_drift_simulate"],
 )
 def test_out_of_domain_setting_is_usage_error(runner, tmp_path, args, name):
     result = runner.invoke(main, ["--out", str(tmp_path / "o")] + args)
@@ -537,6 +539,15 @@ class TestPrice:
             "pde price overflows the float range"] * 3
         for row in rows:
             assert row["closed_form"] == row["pde"] == row["rel_gap"] == ""
+
+    @pytest.mark.parametrize("flag", ["--zs", "--r", "--mu", "--t-horizon", "--beta"])
+    def test_coefficient_overflow_is_an_error_row(self, runner, tmp_path, flag):
+        out = tmp_path / "huge"
+        result = runner.invoke(main, ["--out", str(out), "price", flag, "1e300"])
+        assert result.exit_code == 0, result.output
+        rows = read_csv(out / "pricing_sweep.csv")
+        assert rows and all("put the pricing coefficients outside the float range" in row["error"]
+                   for row in rows)
 
     def test_bad_grid_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(

@@ -9,7 +9,6 @@ from logergodic import (
     DecomposedPath,
     EmoConfig,
     GbmParams,
-    ItoParams,
     PathKind,
     SamplePath,
     TimeGrid,
@@ -17,7 +16,6 @@ from logergodic import (
     apply_emo,
     apply_iemo,
     construct_z_gbm,
-    decompose,
     ergodicity_diagnostic,
     log_path,
     path_seed,
@@ -29,8 +27,11 @@ from logergodic.ergodic import emo_decomposition
 GBM = GbmParams(mu=0.1, sigma=0.2, s0=100.0)  # q = 0.08
 
 
-def gbm_ito_params(params: GbmParams, y0: float) -> ItoParams:
-    return ItoParams(mu=lambda t, x: params.q, sigma=lambda t, x: params.sigma, y0=y0)
+def gbm_split(y: SamplePath) -> DecomposedPath:
+    """Drift/martingale split of a GBM log path: drift q t, martingale y - y0 - q t."""
+    drift = GBM.q * y.grid.times()
+    y0 = float(y.values[0])
+    return DecomposedPath(grid=y.grid, y0=y0, drift_part=drift, mart_part=y.values - y0 - drift)
 
 
 def random_decomposition(seed: int, grid: TimeGrid) -> DecomposedPath:
@@ -38,50 +39,6 @@ def random_decomposition(seed: int, grid: TimeGrid) -> DecomposedPath:
     d = np.concatenate(([0.0], np.cumsum(rng.normal(0, 0.1, grid.n))))
     r = np.concatenate(([0.0], np.cumsum(rng.normal(0, 0.1, grid.n))))
     return DecomposedPath(grid=grid, y0=float(rng.normal(0, 2)), drift_part=d, mart_part=r)
-
-
-class TestDecompose:
-    def test_zero_drift_puts_everything_in_martingale_part(self):
-        grid = TimeGrid(T=1.0, dt=0.01)
-        w = simulate_wiener(grid, seed=1)
-        params = ItoParams(mu=lambda t, x: 0.0, sigma=lambda t, x: 0.2, y0=1.0)
-        y = SamplePath(grid=grid, values=1.0 + 0.2 * w.w, kind=PathKind.LOGPRICE)
-        dec = decompose(y, params, w)
-        np.testing.assert_allclose(dec.drift_part, 0.0)
-        np.testing.assert_allclose(dec.mart_part, 0.2 * w.w, atol=1e-14)
-
-    def test_zero_volatility_leaves_quadrature_residual_only(self):
-        grid = TimeGrid(T=1.0, dt=0.01)
-        w = simulate_wiener(grid, seed=1)
-        params = ItoParams(mu=lambda t, x: 0.07, sigma=lambda t, x: 0.0, y0=0.5)
-        y = SamplePath(grid=grid, values=0.5 + 0.07 * grid.times(), kind=PathKind.LOGPRICE)
-        dec = decompose(y, params, w)
-        assert np.max(np.abs(dec.mart_part)) <= 10 * grid.dt**2
-
-    def test_gbm_components_are_closed_form(self):
-        grid = TimeGrid(T=1.0, dt=0.01)
-        w = simulate_wiener(grid, seed=2)
-        y = log_path(simulate_gbm(GBM, w))
-        dec = decompose(y, gbm_ito_params(GBM, float(y.values[0])), w)
-        np.testing.assert_allclose(dec.drift_part, GBM.q * grid.times(), atol=1e-10)
-        np.testing.assert_allclose(dec.mart_part, GBM.sigma * w.w, atol=1e-10)
-
-    def test_reconstruction_is_exact(self):
-        grid = TimeGrid(T=1.0, dt=0.01)
-        w = simulate_wiener(grid, seed=3)
-        y = log_path(simulate_gbm(GBM, w))
-        dec = decompose(y, gbm_ito_params(GBM, float(y.values[0])), w)
-        np.testing.assert_array_equal(dec.reconstruct(), y.values)
-
-    def test_grid_mismatch_rejected(self):
-        w = simulate_wiener(TimeGrid(T=1.0, dt=0.01), seed=1)
-        y = SamplePath(
-            grid=TimeGrid(T=1.0, dt=0.02),
-            values=np.zeros(51),
-            kind=PathKind.LOGPRICE,
-        )
-        with pytest.raises(ValueError, match="grid"):
-            decompose(y, gbm_ito_params(GBM, 0.0), w)
 
 
 class TestApplyEmo:
@@ -106,7 +63,7 @@ class TestApplyEmo:
         grid = TimeGrid(T=1.0, dt=0.5)
         w = WienerPath(grid=grid, w=np.array([0.0, -0.1, 0.3]))
         y = log_path(simulate_gbm(GBM, w))
-        dec = decompose(y, gbm_ito_params(GBM, float(y.values[0])), w)
+        dec = gbm_split(y)
         z = apply_emo(dec, EmoConfig(beta=2.0, T=1.0, wT=w.terminal))
         assert z.values[1] == pytest.approx(-0.008, abs=1e-12)
 
@@ -178,7 +135,7 @@ class TestApplyIemo:
         grid = TimeGrid(T=1.0, dt=0.01)
         w = simulate_wiener(grid, seed=9)
         y = log_path(simulate_gbm(GBM, w))
-        dec = decompose(y, gbm_ito_params(GBM, float(y.values[0])), w)
+        dec = gbm_split(y)
         cfg = EmoConfig(beta=2.0, T=1.0, wT=w.terminal)
         z = apply_emo(dec, cfg)
         back = apply_iemo(z, dec.y0, cfg, emo_decomposition(dec, cfg))
@@ -211,7 +168,7 @@ class TestConstructZGbm:
             w = simulate_wiener(grid, path_seed(77, i))
             direct = construct_z_gbm(GBM, w, beta=2.0)
             y = log_path(simulate_gbm(GBM, w))
-            dec = decompose(y, gbm_ito_params(GBM, float(y.values[0])), w)
+            dec = gbm_split(y)
             via_emo = apply_emo(dec, EmoConfig(beta=2.0, T=1.0, wT=w.terminal))
             worst = max(worst, float(np.max(np.abs(direct.values - via_emo.values))))
         assert worst <= 1e-10

@@ -15,7 +15,6 @@ from logergodic import (
     HeatProblem,
     PricingInputs,
     derive_coefficients,
-    gamma_delta,
     heat_kernel,
     normal_cdf,
     price_ergodic_bs,
@@ -70,18 +69,6 @@ class TestNormalCdf:
         assert normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-15)
 
 
-class TestGammaDelta:
-    def test_zero_strike(self):
-        assert gamma_delta(100.0, 0.0) == 0.0
-
-    def test_half_strike(self):
-        assert gamma_delta(100.0, 50.0) == pytest.approx(-math.log(2.0), abs=1e-15)
-
-    def test_at_the_strike_rejected(self):
-        with pytest.raises(ValueError, match="exercisable"):
-            gamma_delta(50.0, 50.0)
-
-
 class TestPriceRotationCall:
     def test_reference_value(self):
         result = price_rotation_call(base_inputs(K=50.0, wT=1.0))
@@ -107,6 +94,16 @@ class TestPriceRotationCall:
             price_rotation_call(base_inputs(K=k, wT=1.0)).price for k in (40.0, 50.0, 60.0)
         ]
         assert prices[0] > prices[1] > prices[2]
+
+    def test_half_strike(self):
+        # K = s_t0 / 2: gamma = ln(1 - 1/2) = -ln 2, the slope in wT at t = 0
+        p0 = price_rotation_call(base_inputs(K=50.0, wT=0.0, t=0.0)).price
+        p1 = price_rotation_call(base_inputs(K=50.0, wT=1.0, t=0.0)).price
+        assert p1 - p0 == pytest.approx(-math.log(2.0), abs=1e-13)
+
+    def test_at_the_strike_rejected(self):
+        with pytest.raises(ValueError, match="K < s_t0"):
+            price_rotation_call(base_inputs(K=100.0))
 
     def test_strike_above_spot_rejected(self):
         with pytest.raises(ValueError, match="s_t0"):
@@ -148,6 +145,11 @@ class TestDeriveCoefficients:
             ({"tau": 1.0}, "tau"),
             ({"tau": 0.0}, "tau"),
             ({"X": -1.0}, "X > 0"),
+            ({"z": 1e300}, r"z = 1e\+300 put the pricing coefficients outside the float range"),
+            ({"r": 1e300}, r"r = 1e\+300 and z = 0.05 put the pricing coefficients outside"),
+            ({"mu": 1e300}, r"mu = 1e\+300, .* outside the float range"),
+            ({"T": 1e300}, r"T = 1e\+300, .* outside the float range"),
+            ({"beta": 1e300}, r"beta = 1e\+300, .* outside the float range"),
         ],
     )
     def test_domain_gates(self, overrides, message):

@@ -12,8 +12,6 @@ from logergodic import (
     EmoConfig,
     PathKind,
     SamplePath,
-    TabulatedPeriodic,
-    ThetaPath,
     TimeGrid,
     TrigPolynomial,
     birkhoff_average,
@@ -21,7 +19,6 @@ from logergodic import (
     kac_return_time,
     orbit,
     rotate,
-    theta_moment_check,
     theta_process,
 )
 from logergodic import rotation
@@ -93,12 +90,6 @@ class TestBirkhoffAverage:
     def test_non_periodic_function_rejected(self):
         with pytest.raises(ValueError, match="periodic"):
             birkhoff_average(lambda x: x, x=0.0, theta=SQRT2, n=100)
-
-    def test_tabulated_periodic_endpoint_check(self):
-        with pytest.raises(ValueError):
-            TabulatedPeriodic([0.0, 0.5, 1.0])
-        phi = TabulatedPeriodic([0.2, 0.9, 0.2])
-        assert phi(0.0) == pytest.approx(phi(1.0), abs=1e-12)
 
 
 class TestEquidistribution:
@@ -226,39 +217,3 @@ class TestThetaProcess:
         with pytest.raises(ValueError, match="index 0"):
             theta_process(zero_z(grid), constant_price(grid, 50.0), K=50.0,
                           cfg=EmoConfig(beta=2.0, T=1.0, wT=1.0))
-
-
-def theta_paths_from(values_rows) -> list[ThetaPath]:
-    grid = TimeGrid(T=1.0, dt=0.25)
-    return [
-        ThetaPath(grid=grid, values=np.asarray(row, dtype=float),
-                  gamma=np.zeros(grid.n + 1))
-        for row in values_rows
-    ]
-
-
-class TestThetaMomentCheck:
-    def test_symmetric_ensemble_passes_mean_zero(self):
-        rows = []
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            v = rng.normal(0, 0.1, 5)
-            rows.append(v)
-            rows.append(-v)
-        report = theta_moment_check(theta_paths_from(rows))
-        assert report.mean_zero_ok
-        np.testing.assert_allclose(report.means, 0.0, atol=1e-12)
-
-    def test_single_constant_path_has_zero_variance(self):
-        report = theta_moment_check(theta_paths_from([[0.2] * 5]))
-        np.testing.assert_array_equal(report.variances, 0.0)
-
-    def test_shifted_ensemble_fails_negative_control(self):
-        rng = np.random.default_rng(18)
-        rows = [1.0 + rng.normal(0, 0.01, 5) for _ in range(200)]
-        report = theta_moment_check(theta_paths_from(rows))
-        assert not report.mean_zero_ok
-
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(ValueError):
-            theta_moment_check([])

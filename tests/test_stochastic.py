@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from logergodic import (
     GbmParams,
-    ItoParams,
     PathKind,
     SamplePath,
     TimeGrid,
@@ -16,7 +16,6 @@ from logergodic import (
     log_path,
     path_seed,
     simulate_gbm,
-    simulate_ito,
     simulate_wiener,
 )
 from logergodic.stochastic import path_header, read_path_csv, write_path_csv
@@ -158,53 +157,17 @@ class TestSimulateGbm:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             GbmParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "mu, sigma",
+        [(0.1, 1e300), (-1.7e308, 1.5e154)],
+        ids=["sigma_squared_overflows", "difference_overflows"],
+    )
+    def test_log_drift_beyond_float_range_rejected(self, mu, sigma):
+        with pytest.raises(ValueError, match=re.escape(f"mu = {mu} and sigma = {sigma} put the log drift")):
+            GbmParams(mu=mu, sigma=sigma, s0=100.0)
+
     def test_q_property(self):
         assert GbmParams(mu=0.1, sigma=0.2, s0=1.0).q == pytest.approx(0.08)
-
-
-class TestSimulateIto:
-    def test_zero_coefficients_keep_initial_value(self):
-        grid = TimeGrid(T=1.0, dt=0.1)
-        w = simulate_wiener(grid, seed=1)
-        params = ItoParams(mu=lambda t, x: 0.0, sigma=lambda t, x: 0.0, y0=2.5)
-        y = simulate_ito(params, w)
-        np.testing.assert_allclose(y.values, 2.5)
-        assert y.kind is PathKind.LOGPRICE
-
-    def test_constant_coefficients_exact(self):
-        grid = TimeGrid(T=1.0, dt=0.1)
-        w = simulate_wiener(grid, seed=2)
-        params = ItoParams(mu=lambda t, x: 0.07, sigma=lambda t, x: 0.3, y0=1.0)
-        y = simulate_ito(params, w)
-        expected = 1.0 + 0.07 * grid.times() + 0.3 * w.w
-        np.testing.assert_allclose(y.values, expected, rtol=1e-12, atol=1e-14)
-
-    def test_non_finite_coefficient_diagnostic(self):
-        grid = TimeGrid(T=1.0, dt=0.5)
-        w = simulate_wiener(grid, seed=2)
-        params = ItoParams(mu=lambda t, x: math.inf, sigma=lambda t, x: 0.1, y0=0.0)
-        with pytest.raises(ValueError, match="non-finite"):
-            simulate_ito(params, w)
-
-    def test_state_dependent_strong_half_order_convergence(self):
-        # error vs a finer reference shrinks by ~sqrt(2) per halving of dt
-        params = ItoParams(mu=lambda t, x: 0.05, sigma=lambda t, x: 0.1 * abs(x), y0=1.0)
-        n_fine = 1024
-        fine = TimeGrid(T=1.0, dt=1.0 / n_fine)
-
-        def coarsen(w, factor):
-            grid = TimeGrid(T=1.0, dt=factor / n_fine)
-            return WienerPath(grid=grid, w=w.w[::factor].copy())
-
-        errs = {4: [], 2: []}
-        for i in range(200):
-            w = simulate_wiener(fine, path_seed(42, i))
-            ref = simulate_ito(params, w).values[-1]
-            for factor in (4, 2):
-                approx = simulate_ito(params, coarsen(w, factor)).values[-1]
-                errs[factor].append(abs(approx - ref))
-        ratio = np.mean(errs[4]) / np.mean(errs[2])
-        assert 1.15 <= ratio <= 1.9
 
 
 class TestLogPath:

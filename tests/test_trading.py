@@ -9,13 +9,11 @@ from logergodic import (
     Excursion,
     ExcursionSign,
     GbmParams,
-    ItoParams,
     PathKind,
     RecurrenceSet,
     SamplePath,
     TimeGrid,
     TradeLedger,
-    WienerPath,
     build_excursions,
     build_ledger,
     construct_z_gbm,
@@ -23,7 +21,6 @@ from logergodic import (
     generate_signals,
     oet_bound_report,
     path_seed,
-    simulate_recurrence_sde,
     simulate_wiener,
     sojourn_stats,
     subgrid_crossing_probability,
@@ -175,41 +172,11 @@ class TestExcursions:
         assert math.isnan(stats.mean_above) and math.isnan(stats.mean_below)
 
 
-class TestRecurrenceSde:
-    def test_single_hand_evaluated_step(self):
-        # tau0 = 0.5, q = 0.08, sigma = 0.2, W = 1.0, dW = 0.01 -> d tau = -0.03
-        grid = TimeGrid(T=1.0, dt=0.5)
-        w = WienerPath(grid=grid, w=np.array([0.0, 1.0, 1.01]))
-        taus = simulate_recurrence_sde(GBM, w, tau0=0.5)
-        assert taus[1] == pytest.approx(0.5)  # origin step skipped (W starts at 0)
-        assert taus[2] == pytest.approx(0.47, abs=1e-12)
-
-    def test_zero_increments_leave_tau_constant(self):
-        grid = TimeGrid(T=1.0, dt=0.5)
-        w = WienerPath(grid=grid, w=np.array([0.0, 1.0, 1.0]))
-        taus = simulate_recurrence_sde(GBM, w, tau0=0.5)
-        np.testing.assert_array_equal(taus, 0.5)
-
-    def test_zero_log_drift_is_singular(self):
-        grid = TimeGrid(T=1.0, dt=0.5)
-        w = simulate_wiener(grid, seed=1)
-        params = GbmParams(mu=0.02, sigma=0.2, s0=100.0)  # q = 0
-        with pytest.raises(ValueError, match="singular"):
-            simulate_recurrence_sde(params, w, tau0=0.5)
-
-    def test_wiener_near_zero_halts_with_diagnostic(self):
-        grid = TimeGrid(T=1.0, dt=0.5)
-        w = WienerPath(grid=grid, w=np.array([0.0, 1e-13, 1.0]))
-        with pytest.raises(ValueError, match="step 1"):
-            simulate_recurrence_sde(GBM, w, tau0=0.5)
-
-
 class TestOetBoundReport:
     def test_sine_containment_passes(self):
         z = sine_fixture()
         exc = build_excursions(z, detect_recurrences(z))
-        params = ItoParams(mu=lambda t, x: 0.08, sigma=lambda t, x: 0.2)
-        report = oet_bound_report(exc, params)
+        report = oet_bound_report(exc, q=0.08, sigma=0.2)
         assert report.all_contained
         for row in report.rows:
             assert row["dt_M"] < row["d_tau"]
@@ -217,16 +184,14 @@ class TestOetBoundReport:
     def test_zero_drift_ratio_is_undefined_marker(self):
         z = sine_fixture()
         exc = build_excursions(z, detect_recurrences(z))
-        params = ItoParams(mu=lambda t, x: 0.0, sigma=lambda t, x: 0.2)
-        report = oet_bound_report(exc, params)
+        report = oet_bound_report(exc, q=0.0, sigma=0.2)
         assert all(math.isnan(r["vol_drift_ratio"]) for r in report.rows)
         assert not any(r["flagged"] for r in report.rows)
 
     def test_flagging_is_descriptive_not_asserted(self):
         z = sine_fixture()
         exc = build_excursions(z, detect_recurrences(z))
-        params = ItoParams(mu=lambda t, x: 1e-6, sigma=lambda t, x: 0.2)  # huge ratio
-        report = oet_bound_report(exc, params)
+        report = oet_bound_report(exc, q=1e-6, sigma=0.2)  # huge ratio
         assert report.fraction_flagged == 1.0
         assert report.all_contained
 
