@@ -400,6 +400,10 @@ def price(ctx, **flags):
                        "rel_gap": "", "flags": "", "error": ""}
                 try:
                     inputs = pricing.PricingInputs(tau=tau, z=z, X=x, **fixed)
+                except ValueError as e:
+                    rows.append({**row, "error": str(e)})
+                    continue
+                try:
                     closed = pricing.price_ergodic_bs(inputs)
                     pde = pricing.price_via_pde(inputs)
                     row["flags"] = "|".join(closed.flags)
@@ -411,14 +415,13 @@ def price(ctx, **flags):
                         row["pde"] = pde.price
                         row["rel_gap"] = (abs(pde.price - closed.price)
                                           / max(abs(closed.price), 1e-300))
-                    try:
-                        rot = pricing.price_rotation_call(inputs)
-                        row["rotation"] = rot.price
-                    except ValueError as e:
-                        errors.append(f"rotation: {e}")
-                    row["error"] = "; ".join(errors)
                 except ValueError as e:
-                    row["error"] = str(e)
+                    errors = [str(e)]
+                try:
+                    row["rotation"] = pricing.price_rotation_call(inputs).price
+                except ValueError as e:
+                    errors.append(f"rotation: {e}")
+                row["error"] = "; ".join(errors)
                 rows.append(row)
     out = _emit(ctx, "price", cfg, _table("pricing_sweep", rows, fmt))
     n_err = sum(1 for r in rows if r["error"])

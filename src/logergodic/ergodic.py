@@ -50,6 +50,13 @@ class EmoConfig:
             raise ValueError(f"beta must exceed 3/2, got {self.beta}")
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
+        try:
+            in_range = 0.0 < self.T**self.beta < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError(f"T = {self.T} and beta = {self.beta} put T^beta outside the "
+                             "float range")
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,14 @@ Three routes are provided and cross-checked:
   ``solve_heat_fd`` remain for the cross-solver check (criterion 9).
 
 Both closed forms can return negative values; they are reported as computed
-with a sanity flag rather than floored at zero.  A price beyond the float
+with a "negative_price" flag rather than floored at zero.  A price beyond the float
 range comes back as a signed infinity flagged "overflow" instead of raising.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -109,8 +109,7 @@ class DerivedCoefficients:
     p: float  # r |z| tau T^beta
     lam: float  # T^beta B^2 / (r |z|)
     y: float  # T^beta z - q (wT - delta)
-    a: float  # 1/2 - r z / (B^2 T^beta)
-    b: float  # reconstruction exponent constant
+    log_amp: float  # (y (lam - 2) + p (lam - 2)^2 / 4) / (2 lam), log of the price amplitude
 
 
 def normal_cdf(x: float) -> float:
@@ -123,31 +122,36 @@ class PriceResult:
     price: float
     flags: tuple = ()
 
-    @property
-    def sane(self) -> bool:
-        return "negative_price" not in self.flags
-
 
 def price_rotation_call(inputs: PricingInputs) -> PriceResult:
     """Rotation closed form: exp(-r t) * ((wT / T^beta) gamma - K) with
     gamma = ln(1 - K / s_t0).
 
     The formula is evaluated as written; it can be negative, in which case a
-    "negative_price" flag accompanies the raw value.
+    "negative_price" flag accompanies the raw value.  Settings that put the
+    price outside the float range raise ValueError.
     """
     inputs.require_rotation_domain()
     gamma = math.log1p(-inputs.K / inputs.s_t0)  # 0 < K < s_t0
-    price = math.exp(-inputs.r * inputs.t) * (
-        (inputs.wT / inputs.T**inputs.beta) * gamma - inputs.K
-    )
+    try:
+        price = math.exp(-inputs.r * inputs.t) * (
+            (inputs.wT / inputs.T**inputs.beta) * gamma - inputs.K
+        )
+    except (OverflowError, ZeroDivisionError):  # exp(-r t) or T^beta over- or underflows
+        price = math.nan
+    if not math.isfinite(price):
+        raise ValueError(
+            f"r = {inputs.r}, t = {inputs.t}, T = {inputs.T} and beta = {inputs.beta} put "
+            "the rotation price outside the float range")
     flags = ("negative_price",) if price < 0 else ()
     return PriceResult(price=price, flags=flags)
 
 
 def derive_coefficients(inputs: PricingInputs) -> DerivedCoefficients:
-    """All scalar coefficients of the ergodic valuation, recomputed fresh.
+    """The scalar coefficients of the ergodic valuation, recomputed fresh.
 
-    Settings whose coefficients leave the float range raise ValueError.
+    Settings whose coefficients leave the float range, or give no positive
+    smoothing variance 2 p lam, raise ValueError.
     """
     inputs.require_ergodic_domain()
     delta = inputs.T - inputs.tau  # > 0: the domain requires tau < T, both finite
@@ -161,37 +165,34 @@ def derive_coefficients(inputs: PricingInputs) -> DerivedCoefficients:
         p = inputs.r * abs(inputs.z) * inputs.tau * tb
         lam = tb * B**2 / (inputs.r * abs(inputs.z))
         y = tb * inputs.z - q * (inputs.wT - delta)
-        a = 0.5 - inputs.r * inputs.z / (B**2 * tb)
-        b = (
-            (4 * inputs.r * inputs.z * tb - B**2 * inputs.T ** (2 * inputs.beta)) / 8
-            - inputs.r**2 * inputs.z**2 / (2 * B**2)
-            - inputs.r
-        )
+        lm2 = lam - 2.0
+        log_amp = (y * lm2 + 0.25 * p * lm2**2) / (2.0 * lam)
+        c = DerivedCoefficients(q=q, B=B, eta=eta, p=p, lam=lam, y=y, log_amp=log_amp)
+        in_range = all(map(math.isfinite, astuple(c))) and 2.0 * p * lam > 0
     except (OverflowError, ZeroDivisionError):  # a power over- or underflows
+        in_range = False
+    if not in_range:
         raise ValueError(
             f"T = {inputs.T}, tau = {inputs.tau}, beta = {inputs.beta}, mu = {inputs.mu}, "
             f"sigma = {inputs.sigma}, r = {inputs.r} and z = {inputs.z} put the pricing "
-            "coefficients outside the float range") from None
-    return DerivedCoefficients(q=q, B=B, eta=eta, p=p, lam=lam, y=y, a=a, b=b)
+            "coefficients outside the float range")
+    return c
 
 
 def _valuation_price(inputs: PricingInputs, c: DerivedCoefficients, *factors: float) -> float:
-    """exp(-r tau) * amplitude * factors, the amplitude being
-    exp{(y (lam - 2) + p (lam - 2)^2 / 4) / (2 lam)}, the common prefactor of
-    the closed form and the numerical reconstruction.
+    """exp(-r tau) * amplitude * factors, the amplitude exp(c.log_amp) being
+    the common prefactor of the closed form and the numerical reconstruction.
 
     Multiplied out left to right while the amplitude is a float; otherwise
     summed in log space.  A price beyond the float range is a signed inf.
     """
-    lm2 = c.lam - 2.0
-    log_amp = (c.y * lm2 + 0.25 * c.p * lm2**2) / (2.0 * c.lam)
     try:
-        price = math.exp(-inputs.r * inputs.tau) * math.exp(log_amp)
+        price = math.exp(-inputs.r * inputs.tau) * math.exp(c.log_amp)
     except OverflowError:
         if 0.0 in factors:
             return 0.0
         sign = math.prod(math.copysign(1.0, f) for f in factors)
-        log_abs = -inputs.r * inputs.tau + log_amp + sum(math.log(abs(f)) for f in factors)
+        log_abs = -inputs.r * inputs.tau + c.log_amp + sum(math.log(abs(f)) for f in factors)
         try:
             return sign * math.exp(log_abs)
         except OverflowError:
@@ -219,11 +220,8 @@ def price_ergodic_bs(inputs: PricingInputs) -> PriceResult:
     resulting price is negative, and "overflow" when it leaves the float range.
     """
     c = derive_coefficients(inputs)
-    two_pl = 2.0 * c.p * c.lam
-    if not two_pl > 0:
-        raise ValueError(f"need 2 p lam > 0, got {two_pl}")
     payoff = abs(inputs.z) - math.log(inputs.K)
-    d = math.log(inputs.X / math.log(inputs.K)) / math.sqrt(two_pl)
+    d = math.log(inputs.X / math.log(inputs.K)) / math.sqrt(2.0 * c.p * c.lam)
     return _price_result(_valuation_price(inputs, c, payoff, normal_cdf(d)), payoff)
 
 

@@ -279,15 +279,23 @@ def trade_profit(ledger: TradeLedger, literal_indicator: bool = False) -> float:
     literal_indicator=True weights each full sum by the nonemptiness of the
     corresponding class instead, double-counting every excursion in both sums
     whenever both classes are nonempty; kept for fidelity testing only.
+
+    A profit beyond the float range raises ValueError.
     """
     gaps = np.abs(np.asarray(ledger.entry_prices) - np.asarray(ledger.exit_prices))
     below = np.array([e.sign is ExcursionSign.BELOW for e in ledger.excursions], dtype=bool)
     above = ~below
-    if not literal_indicator:
-        return float(ledger.l * gaps[below].sum() + ledger.s * gaps[above].sum())
-    ind_below = 1.0 if below.any() else 0.0
-    ind_above = 1.0 if above.any() else 0.0
-    return float(ledger.l * ind_below * gaps.sum() + ledger.s * ind_above * gaps.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite profit is rejected below
+        if literal_indicator:
+            sum_below = gaps.sum() if below.any() else 0.0
+            sum_above = gaps.sum() if above.any() else 0.0
+        else:
+            sum_below, sum_above = gaps[below].sum(), gaps[above].sum()
+        profit = float(ledger.l * sum_below + ledger.s * sum_above)
+    if not math.isfinite(profit):
+        raise ValueError(f"leverages l = {ledger.l} and s = {ledger.s} on price gaps up to "
+                         f"{gaps.max()} put the profit outside the float range")
+    return profit
 
 
 def generate_signals(excursions: Sequence[Excursion]) -> list[dict]:

@@ -4,11 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logergodic
 from logergodic import (
@@ -137,11 +140,16 @@ def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, co
         (["trade", "--dt", "1e-15"], "not enough memory for these settings"),
         (["trade", "--sigma", "1e300"], "mu = 0.1 and sigma = 1e+300 put the log drift"),
         (["simulate", "--sigma", "1e300"], "mu = 0.1 and sigma = 1e+300 put the log drift"),
+        (["trade", "--t-horizon", "1e-300", "--dt", "1e-301"],
+         "T = 1e-300 and beta = 2.0 put T^beta outside the float range"),
+        (["trade", "--dt", "0.01", "--mu", "-1", "--s0", "1e300", "--short-leverage", "1e300"],
+         "l = 1.0 and s = 1e+300 on price gaps up to"),
     ],
     ids=["x0", "n", "intervals", "arcs", "beta", "negative_leverage", "nan_eps",
          "nan_leverage", "inf_beta", "negative_seed_simulate", "negative_seed_rotate",
          "bad_taus", "overflowing_path", "underflowing_path", "huge_grid_simulate",
-         "huge_grid_trade", "overflowing_drift_trade", "overflowing_drift_simulate"],
+         "huge_grid_trade", "overflowing_drift_trade", "overflowing_drift_simulate",
+         "underflowing_horizon_power_trade", "overflowing_profit_trade"],
 )
 def test_out_of_domain_setting_is_usage_error(runner, tmp_path, args, name):
     result = runner.invoke(main, ["--out", str(tmp_path / "o")] + args)
@@ -177,6 +185,51 @@ def test_config_numbers_stand_in_for_floats_and_text(runner, tmp_path):
 
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
+
+
+# every float flag of each subcommand but the horizon and step of simulate
+# and trade, whose range EmoConfig and TimeGrid tests cover
+_FUZZED_FLAGS = {
+    "simulate": ["--mu", "--sigma", "--s0"],
+    "trade": ["--mu", "--sigma", "--s0", "--beta", "--eps", "--long-leverage",
+              "--short-leverage"],
+    "rotate": ["--theta", "--x0"],
+    "price": ["--taus", "--zs", "--xs", "--r", "--k", "--t-horizon", "--beta", "--mu",
+              "--sigma", "--w-terminal", "--s-t0", "--t-valuation"],
+}
+# small runs: a later flag overrides these
+_FUZZ_BASE = {"simulate": ["--dt", "0.01"], "trade": ["--dt", "0.01"], "rotate": ["--n", "1000"],
+              "price": ["--taus", "0.5", "--zs", "0.05", "--xs", "100"]}
+_EDGE_VALUES = ["0", "-1", "1e-300", "-1e-300", "1e300", "-1e300", "inf", "-inf", "nan"]
+
+
+@st.composite
+def _edge_invocations(draw):
+    command = draw(st.sampled_from(sorted(_FUZZED_FLAGS)))
+    args = ["--format", draw(st.sampled_from(["csv", "json"])), command, *_FUZZ_BASE[command]]
+    for flag in _FUZZED_FLAGS[command]:
+        # the default half the time, so that a few edges at once are common
+        value = draw(st.none() | st.sampled_from(_EDGE_VALUES))
+        if value is not None:
+            args += [flag, value]
+    return args
+
+
+@given(args=_edge_invocations())
+@settings(max_examples=300, deadline=None)
+def test_edge_settings_exit_cleanly(args):
+    """Every subcommand at extreme settings either writes strict JSON (exit 0)
+    or stops with a one-line usage error and writes nothing (exit 2)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        result = CliRunner().invoke(main, ["--out", str(out)] + args)
+        assert result.exit_code in (0, 2), (result.output, result.exception)
+        if result.exit_code == 2:
+            assert result.output.split("Error: ", 1)[1].count("\n") == 1, result.output
+            assert not out.exists()
+        else:
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize(
@@ -393,6 +446,16 @@ class TestTrade:
         assert result.exit_code == 2, result.output
         assert "bad --input" in result.output and cause in result.output
 
+    def test_input_horizon_beyond_float_range_is_usage_error(self, runner, tmp_path):
+        # a well-formed grid whose horizon T = 1e200 puts T^beta past the float range
+        price_csv = tmp_path / "long.csv"
+        price_csv.write_text("t,value\n" + "".join(f"{k}e199,100.0\n" for k in range(11)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out", str(out), "trade", "--input", str(price_csv)])
+        assert result.exit_code == 2, result.output
+        assert "T = 1e+200 and beta = 2.0 put T^beta outside the float range" in result.output
+        assert not out.exists()
+
     def test_directory_input_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["--out", str(tmp_path / "out"), "trade", "--input", str(tmp_path)]
@@ -488,6 +551,8 @@ class TestPrice:
         rows = read_csv(out / "pricing_sweep.csv")
         assert all("K > 1" in row["error"] for row in rows)
         assert all(row["closed_form"] == "" for row in rows)
+        # the rotation pricer needs only K < s_t0, which holds
+        assert all(math.isfinite(float(row["rotation"])) for row in rows)
 
     def test_non_finite_input_is_an_error_row(self, runner, tmp_path):
         out = tmp_path / "nan"
@@ -540,14 +605,21 @@ class TestPrice:
         for row in rows:
             assert row["closed_form"] == row["pde"] == row["rel_gap"] == ""
 
-    @pytest.mark.parametrize("flag", ["--zs", "--r", "--mu", "--t-horizon", "--beta"])
-    def test_coefficient_overflow_is_an_error_row(self, runner, tmp_path, flag):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--zs", "1e300"), ("--r", "1e300"), ("--mu", "1e300"), ("--t-horizon", "1e300"),
+         ("--beta", "1e300"), ("--mu", "1e100"), ("--zs", "1e-300"), ("--r", "1e-300")],
+        ids=["--zs", "--r", "--mu", "--t-horizon", "--beta", "--mu-1e100", "--zs-1e-300",
+             "--r-1e-300"],
+    )
+    def test_coefficient_overflow_is_an_error_row(self, runner, tmp_path, flag, value):
         out = tmp_path / "huge"
-        result = runner.invoke(main, ["--out", str(out), "price", flag, "1e300"])
+        result = runner.invoke(main, ["--out", str(out), "price", flag, value])
         assert result.exit_code == 0, result.output
         rows = read_csv(out / "pricing_sweep.csv")
         assert rows and all("put the pricing coefficients outside the float range" in row["error"]
                    for row in rows)
+        assert all(row["closed_form"] == row["pde"] == "" for row in rows)
 
     def test_bad_grid_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(

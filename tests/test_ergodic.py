@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,11 @@ class TestApplyEmo:
     def test_non_finite_setting_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             EmoConfig(**{"beta": 2.0, "T": 1.0, "wT": 0.3, name: value})
+
+    @pytest.mark.parametrize("T", [1e-300, 1e200])
+    def test_horizon_power_beyond_float_range_rejected(self, T):
+        with pytest.raises(ValueError, match=re.escape(f"T = {T} and beta = 2.0 put T^beta")):
+            EmoConfig(beta=2.0, T=T, wT=0.3)
 
     def test_horizon_mismatch_rejected(self):
         dec = random_decomposition(0, TimeGrid(T=1.0, dt=0.1))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,18 @@ class TestPriceRotationCall:
         with pytest.raises(ValueError, match="valuation time"):
             price_rotation_call(base_inputs(K=50.0, t=-1.0))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"T": 1e-300}, {"T": 1e-160}, {"T": 1e300}, {"r": -1e300}],
+        ids=["power_underflows", "power_subnormal", "power_overflows", "discount_overflows"],
+    )
+    def test_price_beyond_float_range_rejected(self, overrides):
+        inp = base_inputs(K=50.0, **overrides)
+        with pytest.raises(ValueError, match=re.escape(
+                f"r = {inp.r}, t = 1.0, T = {inp.T} and beta = 2.0 put the rotation price "
+                "outside the float range")):
+            price_rotation_call(inp)
+
 
 class TestDeriveCoefficients:
     def test_reference_chain(self):
@@ -123,7 +136,8 @@ class TestDeriveCoefficients:
         assert c.p == pytest.approx(0.00125, abs=1e-16)
         assert c.lam == pytest.approx(368.64, abs=1e-10)
         assert c.y == pytest.approx(0.066, abs=1e-15)
-        assert c.a == pytest.approx(0.5 - 0.0025 / 0.9216, abs=1e-15)
+        # (y (lam - 2) + p (lam - 2)^2 / 4) / (2 lam) in exact rationals
+        assert c.log_amp == pytest.approx(0.08979765896267361, abs=1e-15)
 
     def test_definition_identities(self):
         for tau in (0.25, 0.5, 0.75):
@@ -150,6 +164,10 @@ class TestDeriveCoefficients:
             ({"mu": 1e300}, r"mu = 1e\+300, .* outside the float range"),
             ({"T": 1e300}, r"T = 1e\+300, .* outside the float range"),
             ({"beta": 1e300}, r"beta = 1e\+300, .* outside the float range"),
+            # finite coefficients whose log amplitude overflows: (lam - 2)^2 > 1.8e308
+            ({"mu": 1e100}, r"mu = 1e\+100, .* outside the float range"),
+            ({"z": 1e-300}, r"z = 1e-300 put the pricing coefficients outside the float range"),
+            ({"r": 1e-300}, r"r = 1e-300 and z = 0.05 put the pricing coefficients outside"),
         ],
     )
     def test_domain_gates(self, overrides, message):
@@ -171,7 +189,6 @@ class TestPriceErgodicBs:
         assert result.price == pytest.approx(ERGODIC_REFERENCE_PRICE, rel=1e-12)
         assert "negative_payoff_factor" in result.flags
         assert "negative_price" in result.flags
-        assert not result.sane
 
     def test_payoff_factor_zero_at_log_strike(self):
         k = 1.1

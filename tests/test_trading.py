@@ -254,6 +254,17 @@ class TestTradeProfit:
         with pytest.raises(ValueError, match=f"leverage {name}"):
             make_ledger([], [], [], **{name: value})
 
+    @pytest.mark.parametrize("literal_indicator", [False, True])
+    @pytest.mark.parametrize(
+        "entries, exits, l",
+        [([1e308], [1e307], 10.0), ([1e308, 1e308], [1e307, 1e307], 1.0)],
+        ids=["leverage_times_gap", "sum_of_gaps"],
+    )
+    def test_profit_beyond_float_range_rejected(self, entries, exits, l, literal_indicator):
+        ledger = make_ledger([ExcursionSign.BELOW] * len(entries), entries, exits, l=l)
+        with pytest.raises(ValueError, match="put the profit outside the float range"):
+            trade_profit(ledger, literal_indicator=literal_indicator)
+
     @given(
         scale=st.floats(0.0, 10.0),
         l=st.floats(0.0, 5.0),
