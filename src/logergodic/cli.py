@@ -173,6 +173,20 @@ def main(ctx, config_path, seed, out_dir, fmt):
     }
 
 
+def _rational_neighbour(theta: float, n: int) -> tuple[int, int] | None:
+    """The convergent p/q of finite theta mod 1, walked in exact arithmetic, with
+    q <= n and |q theta - p| <= 4 eps, whose orbit repeats within n steps; or None."""
+    from fractions import Fraction  # here, so that only rotate pays for importing decimal
+    x = rest = Fraction(theta % 1.0)
+    p0, q0, p, q = 0, 1, 1, 0
+    while True:
+        a = math.floor(rest)
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+        if q > n or abs(q * x - p) <= 4 * Fraction(sys.float_info.epsilon):
+            return (p, q) if q <= n else None
+        rest = 1 / (rest - a)  # nonzero: p/q = x would have returned
+
+
 def _gbm_from(cfg: dict):
     return (GbmParams(mu=cfg["mu"], sigma=cfg["sigma"], s0=cfg["s0"]),
             TimeGrid(T=cfg["T"], dt=cfg["dt"]))
@@ -318,6 +332,9 @@ def rotate(ctx, **flags):
         arc_lengths = [float(v) for v in str(cfg["arcs"]).split(",")]
     except ValueError as e:
         raise click.UsageError(f"bad interval/arc spec: {e}")
+    if near := math.isfinite(theta_val) and _rational_neighbour(theta_val, n):
+        raise click.UsageError(f"theta {theta_val} is within 4 eps of {near[0]}/{near[1]}: "
+                               f"its orbit repeats after {near[1]} <= n = {n} steps")
 
     freq_rows = []
     for a, b in ivals:
@@ -390,7 +407,7 @@ def price(ctx, **flags):
     except ValueError as e:
         raise click.UsageError(f"bad sweep grid: {e}")
 
-    fixed = {key: cfg[key] for key in ("r", "K", "T", "beta", "mu", "sigma", "wT", "s_t0", "t")}
+    ergodic = {key: cfg[key] for key in ("r", "K", "T", "beta", "mu", "sigma", "wT")}
     rows = []
     for tau in tau_list:
         for z in z_list:
@@ -399,11 +416,7 @@ def price(ctx, **flags):
                        "closed_form": "", "pde": "", "rotation": "",
                        "rel_gap": "", "flags": "", "error": ""}
                 try:
-                    inputs = pricing.PricingInputs(tau=tau, z=z, X=x, **fixed)
-                except ValueError as e:
-                    rows.append({**row, "error": str(e)})
-                    continue
-                try:
+                    inputs = pricing.PricingInputs(tau=tau, z=z, X=x, **ergodic)
                     closed = pricing.price_ergodic_bs(inputs)
                     pde = pricing.price_via_pde(inputs)
                     row["flags"] = "|".join(closed.flags)
@@ -418,7 +431,9 @@ def price(ctx, **flags):
                 except ValueError as e:
                     errors = [str(e)]
                 try:
-                    row["rotation"] = pricing.price_rotation_call(inputs).price
+                    emo = EmoConfig(beta=cfg["beta"], T=cfg["T"], wT=cfg["wT"])
+                    row["rotation"] = pricing.price_rotation_call(
+                        emo, cfg["r"], cfg["K"], cfg["s_t0"], cfg["t"]).price
                 except ValueError as e:
                     errors.append(f"rotation: {e}")
                 row["error"] = "; ".join(errors)

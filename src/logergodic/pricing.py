@@ -1,9 +1,10 @@
 """European call pricing engines for the ergodic model.
 
-Three routes are provided and cross-checked:
+Three routes are provided and cross-checked; the two ergodic ones read a
+``PricingInputs``, checked against their whole domain when it is built:
 
-* ``price_rotation_call`` -- the circle-rotation closed form
-  C = exp(-r t) * ((W_T / T^beta) ln(1 - K/S) - K).
+* ``price_rotation_call`` -- the circle-rotation closed form, with beta, T
+  and W_T from an ``EmoConfig``: C = exp(-r t) * ((W_T / T^beta) ln(1 - K/S) - K).
 * ``price_ergodic_bs`` -- the closed-form solution of the ergodic
   Black-Scholes equation in the Z variable,
   C = exp(-r tau) * exp{(y(l-2) + p(l-2)^2/4) / (2l)} * (|z| - ln K) * N[d],
@@ -30,7 +31,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .ergodic import BETA_MIN
+from .ergodic import BETA_MIN, EmoConfig
 
 __all__ = [
     "PricingInputs",
@@ -54,18 +55,16 @@ _MASS_TOL = 1e-4
 
 @dataclass(frozen=True)
 class PricingInputs:
-    r: float  # short rate
-    K: float  # strike
+    r: float  # short rate, > 0
+    K: float  # strike, > 1
     T: float  # horizon
     beta: float  # damping exponent, > 3/2
     mu: float  # price drift
     sigma: float  # volatility, > 0
     tau: float  # time to maturity, 0 < tau < T
-    z: float  # Z-process level
+    z: float  # Z-process level, != 0
     wT: float  # terminal Wiener value
-    s_t0: float  # spot at contract purchase (rotation pricer)
-    X: float  # underlying price in the PDE closed form
-    t: float = 0.0  # valuation time (rotation pricer discount)
+    X: float  # underlying price in the PDE closed form, > 0
 
     def __post_init__(self):
         for f in fields(self):
@@ -79,16 +78,6 @@ class PricingInputs:
             raise ValueError(f"beta must exceed 3/2, got {self.beta}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    def require_rotation_domain(self) -> None:
-        if not self.K < self.s_t0:
-            raise ValueError(
-                f"rotation pricer needs K < s_t0, got K={self.K}, s_t0={self.s_t0}"
-            )
-        if self.t < 0:
-            raise ValueError(f"valuation time must be nonnegative, got {self.t}")
-
-    def require_ergodic_domain(self) -> None:
         if not self.K > 1:
             raise ValueError(f"ergodic pricer needs K > 1 (ln ln K), got K={self.K}")
         if self.z == 0:
@@ -123,26 +112,31 @@ class PriceResult:
     flags: tuple = ()
 
 
-def price_rotation_call(inputs: PricingInputs) -> PriceResult:
+def price_rotation_call(cfg: EmoConfig, r: float, K: float, s_t0: float, t: float) -> PriceResult:
     """Rotation closed form: exp(-r t) * ((wT / T^beta) gamma - K) with
-    gamma = ln(1 - K / s_t0).
+    gamma = ln(1 - K / s_t0), beta, T and wT taken from the transform's config.
 
     The formula is evaluated as written; it can be negative, in which case a
     "negative_price" flag accompanies the raw value.  Settings that put the
     price outside the float range raise ValueError.
     """
-    inputs.require_rotation_domain()
-    gamma = math.log1p(-inputs.K / inputs.s_t0)  # 0 < K < s_t0
+    for name, value in (("r", r), ("K", K), ("s_t0", s_t0), ("t", t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not K > 0:
+        raise ValueError(f"strike must be positive, got {K}")
+    if not K < s_t0:
+        raise ValueError(f"rotation pricer needs K < s_t0, got K={K}, s_t0={s_t0}")
+    if t < 0:
+        raise ValueError(f"valuation time must be nonnegative, got {t}")
+    gamma = math.log1p(-K / s_t0)  # 0 < K < s_t0
     try:
-        price = math.exp(-inputs.r * inputs.t) * (
-            (inputs.wT / inputs.T**inputs.beta) * gamma - inputs.K
-        )
-    except (OverflowError, ZeroDivisionError):  # exp(-r t) or T^beta over- or underflows
+        price = math.exp(-r * t) * ((cfg.wT / cfg.T**cfg.beta) * gamma - K)
+    except OverflowError:  # exp(-r t) overflows; EmoConfig keeps T^beta in (0, inf)
         price = math.nan
     if not math.isfinite(price):
-        raise ValueError(
-            f"r = {inputs.r}, t = {inputs.t}, T = {inputs.T} and beta = {inputs.beta} put "
-            "the rotation price outside the float range")
+        raise ValueError(f"r = {r}, t = {t}, T = {cfg.T} and beta = {cfg.beta} put the "
+                         "rotation price outside the float range")
     flags = ("negative_price",) if price < 0 else ()
     return PriceResult(price=price, flags=flags)
 
@@ -153,8 +147,7 @@ def derive_coefficients(inputs: PricingInputs) -> DerivedCoefficients:
     Settings whose coefficients leave the float range, or give no positive
     smoothing variance 2 p lam, raise ValueError.
     """
-    inputs.require_ergodic_domain()
-    delta = inputs.T - inputs.tau  # > 0: the domain requires tau < T, both finite
+    delta = inputs.T - inputs.tau  # > 0: PricingInputs requires tau < T, both finite
     try:
         q = inputs.mu - 0.5 * inputs.sigma**2
         B = q / delta ** (inputs.beta - 1) + inputs.sigma / delta**inputs.beta

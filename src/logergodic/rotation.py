@@ -112,7 +112,13 @@ def _orbit_chunk(x: float, theta: float, start: int, stop: int) -> np.ndarray:
 
 def _orbit_chunks(x: float, theta: float, n: int):
     """The first n orbit points as (index of the first, points) pairs, in
-    chunks of at most _ORBIT_CHUNK points: the one scan over an orbit."""
+    chunks of at most _ORBIT_CHUNK points: the one scan over an orbit, which
+    checks x, theta and 1 <= n <= _MAX_ORBIT_STEPS before its first step."""
+    _check_start("x0", x, theta)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > _MAX_ORBIT_STEPS:
+        raise ValueError(f"a scan of {n} orbit steps is more than {_MAX_ORBIT_STEPS}")
     for start in range(0, n, _ORBIT_CHUNK):
         yield start, _orbit_chunk(x, theta, start, min(start + _ORBIT_CHUNK, n))
 
@@ -123,10 +129,7 @@ def orbit(x: float, theta: float, n: int) -> np.ndarray:
     Each point is computed from the multiple k*theta rather than by iterated
     addition, so rounding does not accumulate along the orbit.
     """
-    _check_start("x", x, theta)
-    if n < 1:
-        raise ValueError(f"orbit length must be >= 1, got {n}")
-    return _orbit_chunk(x, theta, 0, n)
+    return np.concatenate([pts for _, pts in _orbit_chunks(x, theta, n)])
 
 
 def birkhoff_average(phi: Callable, x: float, theta: float, n: int) -> float:
@@ -135,9 +138,6 @@ def birkhoff_average(phi: Callable, x: float, theta: float, n: int) -> float:
     phi must wrap (phi(0) = phi(1)); for irrational theta the average
     converges to the integral of phi over [0, 1].
     """
-    _check_start("x", x, theta)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     _check_periodic(phi)
     total = 0.0
     for _, pts in _orbit_chunks(x, theta, n):
@@ -149,9 +149,6 @@ def equidistribution_test(theta: float, a: float, b: float, x0: float, n: int) -
     """Fraction of the first n orbit points landing in [a, b)."""
     if not (0.0 <= a < b <= 1.0):
         raise ValueError(f"interval needs 0 <= a < b <= 1, got a={a}, b={b}")
-    _check_start("x0", x0, theta)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     hits = sum(int(np.count_nonzero((pts >= a) & (pts < b)))
                for _, pts in _orbit_chunks(x0, theta, n))
     return hits / n
@@ -173,20 +170,15 @@ def kac_return_time(
         raise ValueError(f"start point {x0} must lie in the arc {arc}")
     if n_returns < 1:
         raise ValueError(f"n_returns must be >= 1, got {n_returns}")
-    _check_start("x0", x0, theta)
 
     budget = math.ceil(4 * n_returns / (b - a))
-    if budget > _MAX_ORBIT_STEPS:
-        raise ValueError(f"{n_returns} returns to the arc {arc} need a scan of {budget} "
-                         f"orbit steps, more than {_MAX_ORBIT_STEPS}")
-    hits = []
     n_hits = 0
-    # x0 lies in the arc, so k = 0 is the first hit
+    # x0 lies in the arc, so k = 0 is hit 0 and n_returns gaps end at hit n_returns
     for start, pts in _orbit_chunks(x0, theta, budget):
-        hits.append(np.flatnonzero((pts >= a) & (pts < b)) + start)
-        n_hits += hits[-1].size
-        if n_hits > n_returns:
-            return float(np.mean(np.diff(np.concatenate(hits))[:n_returns]))
+        hits = np.flatnonzero((pts >= a) & (pts < b))
+        if n_hits + hits.size > n_returns:
+            return float(hits[n_returns - n_hits] + start) / n_returns
+        n_hits += hits.size
     raise ValueError(f"theta {theta} returned to the arc {arc} fewer than {n_returns} "
                      f"times in {budget} orbit steps; it may be too close to a rational")
 

@@ -213,8 +213,7 @@ def criterion_10() -> CriterionResult:
         for z in (0.03, 0.05, 0.08):
             for X in (50.0, 100.0, 150.0):
                 inputs = pricing.PricingInputs(
-                    r=0.05, K=K, T=1.0, beta=2.0, mu=0.1, sigma=0.2,
-                    tau=tau, z=z, wT=0.3, s_t0=100.0, X=X)
+                    r=0.05, K=K, T=1.0, beta=2.0, mu=0.1, sigma=0.2, tau=tau, z=z, wT=0.3, X=X)
                 c = pricing.derive_coefficients(inputs)
                 tb = inputs.T**inputs.beta
                 id1 = abs(c.lam * inputs.r * abs(z) - tb * c.B**2)
@@ -230,13 +229,11 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     """Rotation price fixture and the wT = 0 reduction."""
-    inputs = pricing.PricingInputs(
-        r=0.05, K=50.0, T=1.0, beta=2.0, mu=0.1, sigma=0.2,
-        tau=0.5, z=0.05, wT=1.0, s_t0=100.0, X=100.0, t=1.0)
-    got = pricing.price_rotation_call(inputs).price
+    cfg = EmoConfig(beta=2.0, T=1.0, wT=1.0)
+    got = pricing.price_rotation_call(cfg, 0.05, 50.0, 100.0, 1.0).price
     err = abs(got - _ROTATION_PRICE_FIXTURE)
-    zero_wt = dataclasses.replace(inputs, wT=0.0)
-    got0 = pricing.price_rotation_call(zero_wt).price
+    zero_wt = dataclasses.replace(cfg, wT=0.0)
+    got0 = pricing.price_rotation_call(zero_wt, 0.05, 50.0, 100.0, 1.0).price
     expect0 = -math.exp(-0.05 * 1.0) * 50.0
     ok = err <= 1e-3 and got0 == expect0
     return _result(11, "rotation price fixture -48.221 +- 1e-3; wT=0 reduction exact", ok,

@@ -25,12 +25,13 @@ from logergodic import (
     log_path,
     path_seed,
     read_path_csv,
+    rotation,
     simulate_gbm,
     simulate_wiener,
     theta_process,
     validation,
 )
-from logergodic.cli import main
+from logergodic.cli import _rational_neighbour, main
 from logergodic.validation import CriterionResult
 
 
@@ -121,6 +122,9 @@ def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, co
         (["rotate", "--n", "0"], "n must be >= 1"),
         (["rotate", "--intervals", "0.5:0.2"], "interval"),
         (["rotate", "--arcs", "0"], "arc"),
+        (["rotate", "--theta", "0", "--n", "1000"], "theta 0.0 is within 4 eps of 0/1"),
+        (["rotate", "--theta", "1", "--n", "1000"], "theta 1.0 is within 4 eps of 0/1"),
+        (["rotate", "--theta", "0.5", "--n", "1000"], "theta 0.5 is within 4 eps of 1/2"),
         (["trade", "--beta", "1.0"], "beta"),
         (["--seed", "2", "trade", "--dt", "0.001", "--long-leverage", "-1"], "leverage l"),
         (["--seed", "2", "trade", "--dt", "0.001", "--eps", "nan"], "eps"),
@@ -145,7 +149,8 @@ def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, co
         (["trade", "--dt", "0.01", "--mu", "-1", "--s0", "1e300", "--short-leverage", "1e300"],
          "l = 1.0 and s = 1e+300 on price gaps up to"),
     ],
-    ids=["x0", "n", "intervals", "arcs", "beta", "negative_leverage", "nan_eps",
+    ids=["x0", "n", "intervals", "arcs", "rational_theta_0", "rational_theta_1",
+         "rational_theta_half", "beta", "negative_leverage", "nan_eps",
          "nan_leverage", "inf_beta", "negative_seed_simulate", "negative_seed_rotate",
          "bad_taus", "overflowing_path", "underflowing_path", "huge_grid_simulate",
          "huge_grid_trade", "overflowing_drift_trade", "overflowing_drift_simulate",
@@ -518,6 +523,28 @@ class TestRotate:
         assert "theta 0.999999999999" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [1000, 10**6, 10**9])
+    @pytest.mark.parametrize(
+        "theta, convergent",
+        [(0.0, (0, 1)), (1.0, (0, 1)), (-1.0, (0, 1)), (1e300, (0, 1)), (1e-300, (0, 1)),
+         (0.5, (1, 2)), (1 / 3, (1, 3)), (0.1, (1, 10)), (0.3, (3, 10)),
+         (rotation.SQRT2, None), (rotation.GOLDEN_CONJUGATE, None), (math.pi, None),
+         (math.e, None), (0.4142, None), (0.999999999999, None)],
+    )
+    def test_rational_neighbour(self, theta, convergent, n):
+        assert _rational_neighbour(theta, n) == convergent
+
+    def test_orbit_over_cap_is_usage_error_before_scanning(self, runner, tmp_path, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("orbit scanned")
+
+        monkeypatch.setattr(rotation, "_orbit_chunk", no_scan)
+        out = tmp_path / "long"
+        result = runner.invoke(main, ["--out", str(out), "rotate", "--n", "100000000000"])
+        assert result.exit_code == 2, result.output
+        assert "a scan of 100000000000 orbit steps is more than 1000000000" in result.output
+        assert not out.exists()
+
     def test_unknown_theta_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["--out", str(tmp_path / "x"), "rotate", "--theta", "pi-ish"]
@@ -564,6 +591,30 @@ class TestPrice:
         assert result.exit_code == 0, result.output
         rows = read_csv(out / "pricing_sweep.csv")
         assert [row["error"] for row in rows] == ["mu must be finite, got nan"]
+
+    @pytest.mark.parametrize(
+        "flag, value, failed",
+        [("--xs", "nan", "ergodic"), ("--zs", "nan", "ergodic"), ("--taus", "nan", "ergodic"),
+         ("--sigma", "0", "ergodic"), ("--mu", "inf", "ergodic"),
+         ("--s-t0", "nan", "rotation"), ("--t-valuation", "inf", "rotation")],
+    )
+    def test_each_pricer_fails_only_in_its_own_cells(self, runner, tmp_path, flag, value,
+                                                     failed):
+        point = {"--taus": "0.5", "--zs": "0.05", "--xs": "100", flag: value}
+        out = tmp_path / "one"
+        result = runner.invoke(
+            main, ["--out", str(out), "price", *(a for kv in point.items() for a in kv)])
+        assert result.exit_code == 0, result.output
+        [row] = read_csv(out / "pricing_sweep.csv")
+        ergodic_cells = [row["closed_form"], row["pde"], row["rel_gap"]]
+        if failed == "ergodic":
+            assert ergodic_cells == ["", "", ""]
+            assert math.isfinite(float(row["rotation"]))
+            assert row["error"] and not row["error"].startswith("rotation:")
+        else:
+            assert all(math.isfinite(float(cell)) for cell in ergodic_cells)
+            assert row["rotation"] == ""
+            assert row["error"].startswith("rotation: ")
 
     def test_single_point_sweep(self, runner, tmp_path):
         out = tmp_path / "single"

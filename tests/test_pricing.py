@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import logergodic
 from logergodic import (
+    EmoConfig,
     HeatProblem,
     PricingInputs,
     derive_coefficients,
@@ -44,12 +45,14 @@ def base_inputs(**overrides) -> PricingInputs:
         tau=0.5,
         z=0.05,
         wT=0.3,
-        s_t0=100.0,
         X=100.0,
-        t=1.0,
     )
     kwargs.update(overrides)
     return PricingInputs(**kwargs)
+
+
+def rotation_call(K, wT=0.3, r=0.05, s_t0=100.0, t=1.0, T=1.0, beta=2.0):
+    return price_rotation_call(EmoConfig(beta=beta, T=T, wT=wT), r, K, s_t0, t)
 
 
 class TestPricingInputs:
@@ -72,59 +75,64 @@ class TestNormalCdf:
 
 class TestPriceRotationCall:
     def test_reference_value(self):
-        result = price_rotation_call(base_inputs(K=50.0, wT=1.0))
+        result = rotation_call(K=50.0, wT=1.0)
         assert result.price == pytest.approx(ROTATION_REFERENCE_PRICE, abs=1e-3)
         assert "negative_price" in result.flags
 
     def test_vanishing_strike_limit(self):
-        result = price_rotation_call(base_inputs(K=1e-12, wT=1.0))
+        result = rotation_call(K=1e-12, wT=1.0)
         assert result.price == pytest.approx(0.0, abs=1e-11)
 
     def test_zero_terminal_wiener_reduction(self):
-        result = price_rotation_call(base_inputs(K=50.0, wT=0.0))
+        result = rotation_call(K=50.0, wT=0.0)
         assert result.price == -math.exp(-0.05) * 50.0
 
     def test_linear_in_terminal_wiener(self):
-        p0 = price_rotation_call(base_inputs(K=50.0, wT=0.0)).price
-        p1 = price_rotation_call(base_inputs(K=50.0, wT=1.0)).price
-        p2 = price_rotation_call(base_inputs(K=50.0, wT=2.0)).price
+        p0 = rotation_call(K=50.0, wT=0.0).price
+        p1 = rotation_call(K=50.0, wT=1.0).price
+        p2 = rotation_call(K=50.0, wT=2.0).price
         assert p2 - p0 == pytest.approx(2 * (p1 - p0), rel=1e-12)
 
     def test_strictly_decreasing_in_strike(self):
-        prices = [
-            price_rotation_call(base_inputs(K=k, wT=1.0)).price for k in (40.0, 50.0, 60.0)
-        ]
+        prices = [rotation_call(K=k, wT=1.0).price for k in (40.0, 50.0, 60.0)]
         assert prices[0] > prices[1] > prices[2]
 
     def test_half_strike(self):
         # K = s_t0 / 2: gamma = ln(1 - 1/2) = -ln 2, the slope in wT at t = 0
-        p0 = price_rotation_call(base_inputs(K=50.0, wT=0.0, t=0.0)).price
-        p1 = price_rotation_call(base_inputs(K=50.0, wT=1.0, t=0.0)).price
+        p0 = rotation_call(K=50.0, wT=0.0, t=0.0).price
+        p1 = rotation_call(K=50.0, wT=1.0, t=0.0).price
         assert p1 - p0 == pytest.approx(-math.log(2.0), abs=1e-13)
 
     def test_at_the_strike_rejected(self):
         with pytest.raises(ValueError, match="K < s_t0"):
-            price_rotation_call(base_inputs(K=100.0))
+            rotation_call(K=100.0)
 
     def test_strike_above_spot_rejected(self):
         with pytest.raises(ValueError, match="s_t0"):
-            price_rotation_call(base_inputs(K=150.0))
+            rotation_call(K=150.0)
 
     def test_negative_valuation_time_rejected(self):
         with pytest.raises(ValueError, match="valuation time"):
-            price_rotation_call(base_inputs(K=50.0, t=-1.0))
+            rotation_call(K=50.0, t=-1.0)
+
+    @pytest.mark.parametrize("name", ["r", "K", "s_t0", "t"])
+    def test_non_finite_input_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            rotation_call(**{"K": 50.0, name: math.nan})
 
     @pytest.mark.parametrize(
-        "overrides",
-        [{"T": 1e-300}, {"T": 1e-160}, {"T": 1e300}, {"r": -1e300}],
+        "overrides, message",
+        [({"T": 1e-300}, "T = 1e-300 and beta = 2.0 put T^beta outside the float range"),
+         ({"T": 1e-160}, "r = 0.05, t = 1.0, T = 1e-160 and beta = 2.0 put the rotation price "
+          "outside the float range"),
+         ({"T": 1e300}, "T = 1e+300 and beta = 2.0 put T^beta outside the float range"),
+         ({"r": -1e300}, "r = -1e+300, t = 1.0, T = 1.0 and beta = 2.0 put the rotation price "
+          "outside the float range")],
         ids=["power_underflows", "power_subnormal", "power_overflows", "discount_overflows"],
     )
-    def test_price_beyond_float_range_rejected(self, overrides):
-        inp = base_inputs(K=50.0, **overrides)
-        with pytest.raises(ValueError, match=re.escape(
-                f"r = {inp.r}, t = 1.0, T = {inp.T} and beta = 2.0 put the rotation price "
-                "outside the float range")):
-            price_rotation_call(inp)
+    def test_price_beyond_float_range_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rotation_call(K=50.0, **overrides)
 
 
 class TestDeriveCoefficients:
