@@ -13,6 +13,7 @@ codes: 0 success, 1 validation failure, 2 usage/config error.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -101,17 +102,23 @@ def _json(obj, sort_keys: bool = False):
     return write
 
 
+def _rows(columns):
+    """The rows of the columns; an array column becomes a list only here."""
+    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+
+
 def _columns(header: list[str], *columns):
-    """A CSV writer; an array column becomes a list only when the file is written."""
-    return lambda fh: stochastic._write_csv(fh, header, zip(
-        *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    """A CSV writer; the rows are built only when the file is written."""
+    return lambda fh: stochastic._write_csv(fh, header, _rows(columns))
 
 
-def _table(stem: str, rows: list[dict], fmt: str) -> dict:
+def _table(stem: str, columns: dict, fmt: str) -> dict:
+    """A table file from named columns: a CSV, whose header stays when there
+    are no rows, or a JSON list of rows."""
     if fmt == "json":
+        rows = [dict(zip(columns, row)) for row in _rows(columns.values())]
         return {f"{stem}.json": _json(rows)}
-    header = list(rows[0]) if rows else []
-    return {f"{stem}.csv": _columns(header, *([row[k] for row in rows] for k in header))}
+    return {f"{stem}.csv": _columns(list(columns), *columns.values())}
 
 
 def _emit(ctx, command: str, resolved: dict, files: dict) -> Path:
@@ -294,7 +301,7 @@ def trade(ctx, input_path, literal_indicator, **flags):
                 "seed": seed, "input": input_path}
     out = _emit(ctx, "trade", resolved, {
         **_table("signals", trading.generate_signals(exc), fmt),
-        **_table("bound_report", bounds.rows, fmt),
+        **_table("bound_report", bounds.columns, fmt),
         "summary.json": _json(summary),
         "fig1_price.csv": _columns(["t", "price"], t, price.values),
         "fig2_zprocess.csv": _columns(["t", "z", "recurrence"], fig_t, fig_z, mark),
@@ -336,28 +343,18 @@ def rotate(ctx, **flags):
         raise click.UsageError(f"theta {theta_val} is within 4 eps of {near[0]}/{near[1]}: "
                                f"its orbit repeats after {near[1]} <= n = {n} steps")
 
-    freq_rows = []
-    for a, b in ivals:
-        freq = rotation.equidistribution_test(theta_val, a, b, x0=x0, n=n)
-        freq_rows.append({"a": a, "b": b, "frequency": freq, "target": b - a,
-                         "abs_error": abs(freq - (b - a))})
-
-    kac_rows = []
+    a, b = np.array(ivals).T
+    freq = np.array([rotation.equidistribution_test(theta_val, *ab, x0=x0, n=n) for ab in ivals])
     n_ret = min(100_000, max(1000, n // 10))
-    for p in arc_lengths:
-        mean = rotation.kac_return_time(theta_val, (0.0, p), x0=0.0, n_returns=n_ret)
-        kac_rows.append({"arc_length": p, "mean_return": mean, "target": 1.0 / p,
-                        "rel_error": abs(mean * p - 1.0)})
-
-    birkhoff_rows = []
-    for label, phi, target in [
-        ("constant_0.37", rotation.TrigPolynomial(c0=0.37), 0.37),
-        ("sin", rotation.TrigPolynomial(c0=0.0, sin_coeffs=(1.0,)), 0.0),
-        ("mixed", rotation.TrigPolynomial(c0=0.37, cos_coeffs=(0.9,), sin_coeffs=(0.3,)), 0.37),
-    ]:
-        avg = rotation.birkhoff_average(phi, x=x0, theta=theta_val, n=n)
-        birkhoff_rows.append({"function": label, "average": avg, "target": target,
-                             "abs_error": abs(avg - target)})
+    arcs = np.array(arc_lengths)
+    mean = np.array([rotation.kac_return_time(theta_val, (0.0, p), x0=0.0, n_returns=n_ret)
+                     for p in arc_lengths])
+    phis = {"constant_0.37": rotation.TrigPolynomial(c0=0.37),
+            "sin": rotation.TrigPolynomial(c0=0.0, sin_coeffs=(1.0,)),
+            "mixed": rotation.TrigPolynomial(c0=0.37, cos_coeffs=(0.9,), sin_coeffs=(0.3,))}
+    avg = np.array([rotation.birkhoff_average(phi, x=x0, theta=theta_val, n=n)
+                    for phi in phis.values()])
+    integral = np.array([phi.integral for phi in phis.values()])
 
     # figure data: circle position of the angle process along a price path
     params, grid = _gbm_from(_GBM_DEFAULTS)
@@ -367,15 +364,18 @@ def rotate(ctx, **flags):
     z = construct_z_gbm(params, w, beta=beta)
     emo_cfg = EmoConfig(beta=beta, T=grid.T, wT=w.terminal)
     strike = 0.5 * float(np.min(price.values))
-    theta_path = rotation.theta_process(z, price, K=strike, cfg=emo_cfg)
+    theta = rotation.theta_process(z, price, K=strike, cfg=emo_cfg)
     # math.cos/sin per point, not np.cos/np.sin, whose last bits can differ by platform
-    angle = (2 * math.pi * np.mod(theta_path.values, 1.0)).tolist()
+    angle = (2 * math.pi * np.mod(theta, 1.0)).tolist()
     out = _emit(ctx, "rotate", {**cfg, "seed": seed}, {
-        **_table("equidistribution", freq_rows, fmt),
-        **_table("kac_returns", kac_rows, fmt),
-        **_table("birkhoff", birkhoff_rows, fmt),
+        **_table("equidistribution", {"a": a, "b": b, "frequency": freq, "target": b - a,
+                                      "abs_error": np.abs(freq - (b - a))}, fmt),
+        **_table("kac_returns", {"arc_length": arcs, "mean_return": mean, "target": 1.0 / arcs,
+                                 "rel_error": np.abs(mean * arcs - 1.0)}, fmt),
+        **_table("birkhoff", {"function": list(phis), "average": avg, "target": integral,
+                              "abs_error": np.abs(avg - integral)}, fmt),
         "fig3_circle.csv": _columns(["t", "price", "theta", "circle_x", "circle_y"],
-                                    grid.times(), price.values, theta_path.values,
+                                    grid.times(), price.values, theta,
                                     map(math.cos, angle), map(math.sin, angle)),
     })
     click.echo(f"wrote rotation diagnostics to {out}")
@@ -409,37 +409,32 @@ def price(ctx, **flags):
 
     ergodic = {key: cfg[key] for key in ("r", "K", "T", "beta", "mu", "sigma", "wT")}
     rows = []
-    for tau in tau_list:
-        for z in z_list:
-            for x in x_list:
-                row = {"tau": tau, "z": z, "X": x, "K": cfg["K"],
-                       "closed_form": "", "pde": "", "rotation": "",
-                       "rel_gap": "", "flags": "", "error": ""}
-                try:
-                    inputs = pricing.PricingInputs(tau=tau, z=z, X=x, **ergodic)
-                    closed = pricing.price_ergodic_bs(inputs)
-                    pde = pricing.price_via_pde(inputs)
-                    row["flags"] = "|".join(closed.flags)
-                    errors = [f"{name} price overflows the float range"
-                              for name, res in (("closed-form", closed), ("pde", pde))
-                              if "overflow" in res.flags]
-                    if not errors:
-                        row["closed_form"] = closed.price
-                        row["pde"] = pde.price
-                        row["rel_gap"] = (abs(pde.price - closed.price)
-                                          / max(abs(closed.price), 1e-300))
-                except ValueError as e:
-                    errors = [str(e)]
-                try:
-                    emo = EmoConfig(beta=cfg["beta"], T=cfg["T"], wT=cfg["wT"])
-                    row["rotation"] = pricing.price_rotation_call(
-                        emo, cfg["r"], cfg["K"], cfg["s_t0"], cfg["t"]).price
-                except ValueError as e:
-                    errors.append(f"rotation: {e}")
-                row["error"] = "; ".join(errors)
-                rows.append(row)
-    out = _emit(ctx, "price", cfg, _table("pricing_sweep", rows, fmt))
-    n_err = sum(1 for r in rows if r["error"])
+    for tau, z, x in itertools.product(tau_list, z_list, x_list):
+        closed_form = pde_price = rel_gap = flags = rotation_price = ""
+        try:
+            inputs = pricing.PricingInputs(tau=tau, z=z, X=x, **ergodic)
+            closed = pricing.price_ergodic_bs(inputs)
+            pde = pricing.price_via_pde(inputs)
+            flags = "|".join(closed.flags)
+            errors = [f"{name} price overflows the float range"
+                      for name, res in (("closed-form", closed), ("pde", pde))
+                      if "overflow" in res.flags]
+            if not errors:
+                closed_form, pde_price = closed.price, pde.price
+                rel_gap = abs(pde.price - closed.price) / max(abs(closed.price), 1e-300)
+        except ValueError as e:
+            errors = [str(e)]
+        try:
+            emo = EmoConfig(beta=cfg["beta"], T=cfg["T"], wT=cfg["wT"])
+            rotation_price = pricing.price_rotation_call(
+                emo, cfg["r"], cfg["K"], cfg["s_t0"], cfg["t"]).price
+        except ValueError as e:
+            errors.append(f"rotation: {e}")
+        rows.append((tau, z, x, cfg["K"], closed_form, pde_price, rotation_price, rel_gap, flags,
+                     "; ".join(errors)))
+    names = ("tau", "z", "X", "K", "closed_form", "pde", "rotation", "rel_gap", "flags", "error")
+    out = _emit(ctx, "price", cfg, _table("pricing_sweep", dict(zip(names, zip(*rows))), fmt))
+    n_err = sum(1 for row in rows if row[-1])
     click.echo(f"priced {len(rows)} point(s), {n_err} domain error(s); wrote {out}")
 
 

@@ -23,7 +23,6 @@ from .stochastic import GbmParams, PathKind, SamplePath, TimeGrid, WienerPath
 __all__ = [
     "EmoConfig",
     "DecomposedPath",
-    "DiagnosticCurve",
     "apply_emo",
     "emo_decomposition",
     "apply_iemo",
@@ -78,18 +77,6 @@ class DecomposedPath:
         return self.y0 + self.drift_part + self.mart_part
 
 
-@dataclass(frozen=True)
-class DiagnosticCurve:
-    horizons: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.horizons) != len(self.values):
-            raise ValueError("horizons and values must have equal length")
-        if np.any(np.diff(self.horizons) <= 0):
-            raise ValueError("horizons must be strictly increasing")
-
-
 def emo_decomposition(dec: DecomposedPath, cfg: EmoConfig) -> DecomposedPath:
     """Component-wise image of the transform: the drift/martingale split of Z."""
     if not math.isclose(dec.grid.T, cfg.T, rel_tol=1e-12):
@@ -141,8 +128,8 @@ def construct_z_gbm(params: GbmParams, wiener: WienerPath, beta: float) -> Sampl
 
 def ergodicity_diagnostic(
     ensemble: Sequence[SamplePath], horizons: Sequence[float]
-) -> DiagnosticCurve:
-    """Windowed covariance average used to judge mean ergodicity.
+) -> np.ndarray:
+    """Windowed covariance average used to judge mean ergodicity, one value per horizon.
 
     The lag covariance Cov(tau) is estimated as the ensemble variance of the
     path values at lag tau (values centered at the ensemble mean per lag).
@@ -151,7 +138,8 @@ def ergodicity_diagnostic(
         (1 / T') * integral_0^T' (1 - tau/T') Cov(tau) dtau
 
     by trapezoidal quadrature.  A process whose curve tends to 0 with
-    growing horizon behaves mean-ergodically at the sampled scale.
+    growing horizon behaves mean-ergodically at the sampled scale.  The
+    horizons must strictly increase and lie within the ensemble grid.
     """
     if len(ensemble) < 2:
         raise ValueError("ensemble must contain at least 2 paths")
@@ -160,6 +148,8 @@ def ergodicity_diagnostic(
         if not p.grid.compatible(grid):
             raise ValueError("ensemble paths must share a grid")
     horizons = np.asarray(horizons, dtype=float)
+    if np.any(np.diff(horizons) <= 0):
+        raise ValueError("horizons must be strictly increasing")
     if np.any(horizons > grid.T * (1 + 1e-12)):
         raise ValueError("horizon exceeds the ensemble grid")
 
@@ -172,4 +162,4 @@ def ergodicity_diagnostic(
         k = grid.index_of(tprime)
         weights = 1.0 - tau[: k + 1] / tprime
         out[i] = np.trapezoid(weights * cov[: k + 1], dx=grid.dt) / tprime
-    return DiagnosticCurve(horizons=horizons, values=out)
+    return out

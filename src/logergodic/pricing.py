@@ -50,6 +50,8 @@ __all__ = [
 
 # kernel mass outside +-3.9 std is ~1e-4; grids must span at least that much
 _KERNEL_WIDTH_STD = 3.9
+# price_via_pde's grid: _PDE_NODES steps across its span, _PDE_NODES + 1 nodes
+_PDE_NODES = 2000
 _MASS_TOL = 1e-4
 
 
@@ -331,22 +333,20 @@ def solve_heat_fd(hp: HeatProblem, dt: float) -> np.ndarray:
     return u
 
 
-def price_via_pde(inputs: PricingInputs, n_nodes: int = 2000) -> PriceResult:
+def price_via_pde(inputs: PricingInputs) -> PriceResult:
     """Numerical counterpart of ``price_ergodic_bs``, by one heat-kernel quadrature.
 
     The valuation integral behind the closed form is a Gaussian smoothing,
     with total variance 2 p lam, of a payoff step of height |z| - ln K
     located at ln(ln K), read at ln X.  Diffusing the step with diffusivity
     eta for time 2 p lam / eta reproduces that integral.  The step sits on
-    the middle node of a uniform grid of 2 ceil(n_nodes / 2) + 1 nodes and
-    carries half the jump there (the standard second-order treatment of a
-    discontinuity); the solution is the trapezoid sum at ln X alone, which
-    need not be a node, so the work is O(n_nodes) at every tau and X.  It is
-    multiplied by the discount and reconstruction factor and agrees with the
-    closed form to quadrature accuracy.
+    the middle node of a uniform grid of 2001 nodes and carries half the jump
+    there (the standard second-order treatment of a discontinuity); the
+    solution is the trapezoid sum at ln X alone, which need not be a node, so
+    the work is O(nodes) at every tau and X.  It is multiplied by the discount
+    and reconstruction factor and agrees with the closed form to quadrature
+    accuracy.
     """
-    if not n_nodes >= 1:
-        raise ValueError(f"n_nodes must be at least 1, got {n_nodes}")
     c = derive_coefficients(inputs)
     two_pl = 2.0 * c.p * c.lam
     std = math.sqrt(two_pl)
@@ -355,8 +355,8 @@ def price_via_pde(inputs: PricingInputs, n_nodes: int = 2000) -> PriceResult:
     payoff = abs(inputs.z) - math.log(inputs.K)
 
     half_span = max(_KERNEL_WIDTH_STD * 2.1 * std, abs(query_y - step_y) + 6 * std)
-    h = math.ceil(n_nodes / 2)
-    grid_y = step_y + (2 * half_span / n_nodes) * np.arange(-h, h + 1)
+    h = _PDE_NODES // 2
+    grid_y = step_y + (2 * half_span / _PDE_NODES) * np.arange(-h, h + 1)
     initial = np.where(grid_y > step_y, payoff, 0.0)
     initial[h] = 0.5 * payoff
     hp = HeatProblem(eta=c.eta, grid_y=grid_y, initial=initial, tau_end=two_pl / c.eta)

@@ -9,18 +9,16 @@ ratio conjugate) whose equidistribution behavior is well understood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .ergodic import EmoConfig
-from .stochastic import PathKind, SamplePath, TimeGrid
+from .stochastic import PathKind, SamplePath
 
 __all__ = [
     "SQRT2",
     "GOLDEN_CONJUGATE",
-    "ThetaPath",
     "TrigPolynomial",
     "rotate",
     "orbit",
@@ -43,21 +41,6 @@ def _check_start(name: str, x: float, theta: float) -> None:
         raise ValueError(f"circle point {name} must lie in [0, 1), got {x}")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-
-
-@dataclass(frozen=True)
-class ThetaPath:
-    """Random rotation angle along a path: theta = Z + (wT/T^beta) * gamma."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != self.grid.n + 1 or len(self.gamma) != self.grid.n + 1:
-            raise ValueError("theta path length must be grid.n + 1")
-        if not np.all(np.isfinite(self.gamma)):
-            raise ValueError("gamma must be finite (strike below price everywhere)")
 
 
 class TrigPolynomial:
@@ -185,8 +168,8 @@ def kac_return_time(
 
 def theta_process(
     z: SamplePath, price: SamplePath, K: float, cfg: EmoConfig
-) -> ThetaPath:
-    """Angle path theta = Z + (wT / T^beta) * ln(1 - K / S).
+) -> np.ndarray:
+    """Angle path theta = Z + (wT / T^beta) * ln(1 - K / S), one value per grid point.
 
     Requires the price to stay above the strike on the whole grid; the log
     term is undefined otherwise.
@@ -205,6 +188,4 @@ def theta_process(
         raise ValueError(
             f"price {s[bad[0]]} <= strike {K} at index {bad[0]}: option not exercisable"
         )
-    gamma = np.log1p(-K / s)
-    values = z.values + (cfg.wT / cfg.T**cfg.beta) * gamma
-    return ThetaPath(grid=z.grid, values=values, gamma=gamma)
+    return z.values + (cfg.wT / cfg.T**cfg.beta) * np.log1p(-K / s)

@@ -5,23 +5,22 @@ by linear interpolation at a sign change; the stretch between consecutive
 returns is an excursion, classified above/below the level.  The excursion's
 extremum time t_M (the largest |Z|) is read as the exit time of a trade
 entered at tau_i: long when the path is below the level, short when above.
+The excursions of a path are one columnar `Excursions` record, and every later
+stage works on its arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .stochastic import PathKind, SamplePath
 
 __all__ = [
-    "ExcursionSign",
     "RecurrenceSet",
-    "Excursion",
+    "Excursions",
     "SojournStats",
     "TradeLedger",
     "BoundReport",
@@ -40,11 +39,6 @@ __all__ = [
 _ZERO_FLOOR_REL = 1e-12
 
 
-class ExcursionSign(Enum):
-    ABOVE = "above"
-    BELOW = "below"
-
-
 @dataclass(frozen=True)
 class RecurrenceSet:
     taus: np.ndarray
@@ -55,25 +49,19 @@ class RecurrenceSet:
 
 
 @dataclass(frozen=True)
-class Excursion:
-    i: int
-    start: float
-    end: float
-    sign: ExcursionSign
-    M: float
-    tM: float
+class Excursions:
+    """One entry per excursion in each array: its start tau_i and end
+    tau_{i+1}, the extremum time t_M and size M = |Z(t_M)|, and whether the
+    path lies above the level."""
 
-    def __post_init__(self):
-        if not (self.start < self.tM < self.end):
-            raise ValueError(
-                f"excursion {self.i}: extremum time {self.tM} outside ({self.start}, {self.end})"
-            )
-        if self.M < 0:
-            raise ValueError("excursion extremum must be nonnegative")
+    start: np.ndarray
+    end: np.ndarray
+    tM: np.ndarray
+    M: np.ndarray
+    above: np.ndarray  # bool
 
-    @property
-    def delta(self) -> float:
-        return self.end - self.start
+    def __len__(self) -> int:
+        return len(self.start)
 
 
 @dataclass(frozen=True)
@@ -86,7 +74,7 @@ class SojournStats:
 
 @dataclass(frozen=True)
 class TradeLedger:
-    excursions: tuple
+    excursions: Excursions
     entry_prices: np.ndarray  # X(tau_i)
     exit_prices: np.ndarray  # X(t_M_i)
     l: float
@@ -106,10 +94,10 @@ class TradeLedger:
 
 @dataclass(frozen=True)
 class BoundReport:
-    # one dict per excursion: i, contained (0/1), vol_drift_ratio =
-    # sigma / q (nan when q = 0), dt_M = t_M - tau_i,
+    # named columns, one entry per excursion: i, contained (0/1),
+    # vol_drift_ratio = sigma / q (nan when q = 0), dt_M = t_M - tau_i,
     # d_tau = tau_{i+1} - tau_i, flagged (0/1) = vol_drift_ratio > d_tau
-    rows: tuple
+    columns: dict
     all_contained: bool
     fraction_flagged: float
 
@@ -190,7 +178,7 @@ def subgrid_crossing_probability(z: SamplePath) -> float:
     return float(-np.expm1(log_survive))
 
 
-def build_excursions(z: SamplePath, rec: RecurrenceSet) -> list[Excursion]:
+def build_excursions(z: SamplePath, rec: RecurrenceSet) -> Excursions:
     """One excursion per consecutive recurrence pair with a nonzero interior.
 
     Sign and extremum come from the grid values strictly inside the interval;
@@ -202,35 +190,30 @@ def build_excursions(z: SamplePath, rec: RecurrenceSet) -> list[Excursion]:
     # grid indices lo..hi-1 lie strictly inside (tau_i, tau_{i+1})
     lo = np.searchsorted(t, taus[:-1], "right")
     hi = np.searchsorted(t, taus[1:], "left")
-    out: list[Excursion] = []
-    for start, end, a, b in zip(taus[:-1].tolist(), taus[1:].tolist(), lo.tolist(), hi.tolist()):
-        if a >= b:
-            continue
-        seg = np.abs(v[a:b])
-        jrel = int(np.argmax(seg))  # argmax returns the first maximum
-        j = a + jrel
-        m = float(seg[jrel])
-        if m == 0.0:
-            continue  # flat-at-level interior; not a sojourn on either side
-        sign = ExcursionSign.ABOVE if v[j] > 0 else ExcursionSign.BELOW
-        out.append(
-            Excursion(i=len(out), start=start, end=end, sign=sign, M=m, tM=float(t[j]))
-        )
-    return out
+    # index of the first largest |Z| inside each interval (argmax returns the
+    # first maximum), -1 for an interval with no grid point inside
+    j = np.array([a + int(np.argmax(np.abs(v[a:b]))) if a < b else -1
+                  for a, b in zip(lo.tolist(), hi.tolist())], dtype=np.intp)
+    M = np.abs(v[j])
+    # an empty or flat-at-level interior is not a sojourn on either side
+    keep = (j >= 0) & (M > 0.0)
+    j = j[keep]
+    return Excursions(start=taus[:-1][keep], end=taus[1:][keep], tM=t[j], M=M[keep],
+                      above=v[j] > 0)
 
 
-def sojourn_stats(excursions: Sequence[Excursion]) -> SojournStats:
-    above = [e.delta for e in excursions if e.sign is ExcursionSign.ABOVE]
-    below = [e.delta for e in excursions if e.sign is ExcursionSign.BELOW]
+def sojourn_stats(exc: Excursions) -> SojournStats:
+    delta = exc.end - exc.start
+    above, below = delta[exc.above], delta[~exc.above]
     return SojournStats(
-        mean_above=float(np.mean(above)) if above else math.nan,
-        mean_below=float(np.mean(below)) if below else math.nan,
-        count_above=len(above),
-        count_below=len(below),
+        mean_above=float(np.mean(above)) if above.size else math.nan,
+        mean_below=float(np.mean(below)) if below.size else math.nan,
+        count_above=above.size,
+        count_below=below.size,
     )
 
 
-def oet_bound_report(excursions: Sequence[Excursion], q: float, sigma: float) -> BoundReport:
+def oet_bound_report(exc: Excursions, q: float, sigma: float) -> BoundReport:
     """Descriptive report on exit-time placement inside each excursion.
 
     Containment tau_i < t_M < tau_{i+1} is checked per excursion.  The ratio
@@ -239,22 +222,22 @@ def oet_bound_report(excursions: Sequence[Excursion], q: float, sigma: float) ->
     sojourn length; no pass threshold is imposed on the flags.
     """
     ratio = sigma / q if q != 0.0 else math.nan
-    rows = [{"i": e.i, "contained": int(e.start < e.tM < e.end),
-             "vol_drift_ratio": ratio, "dt_M": e.tM - e.start, "d_tau": e.delta,
-             "flagged": int(not math.isnan(ratio) and ratio > e.delta)}
-            for e in excursions]
-    frac = sum(r["flagged"] for r in rows) / len(rows) if rows else 0.0
+    d_tau = exc.end - exc.start
+    contained = (exc.start < exc.tM) & (exc.tM < exc.end)
+    flagged = ratio > d_tau  # False wherever the ratio is nan
     return BoundReport(
-        rows=tuple(rows),
-        all_contained=all(r["contained"] for r in rows),
-        fraction_flagged=frac,
+        columns={"i": np.arange(len(exc)), "contained": contained.astype(int),
+                 "vol_drift_ratio": np.full(len(exc), ratio), "dt_M": exc.tM - exc.start,
+                 "d_tau": d_tau, "flagged": flagged.astype(int)},
+        all_contained=bool(contained.all()),
+        fraction_flagged=float(flagged.mean()) if len(exc) else 0.0,
     )
 
 
 def build_ledger(
     z: SamplePath,
     price: SamplePath,
-    excursions: Sequence[Excursion],
+    exc: Excursions,
     l: float,
     s: float,
 ) -> TradeLedger:
@@ -263,11 +246,8 @@ def build_ledger(
         raise ValueError(f"ledger needs a price path, got {price.kind.value}")
     if not price.grid.compatible(z.grid):
         raise ValueError("price and z paths must share a grid")
-    times = np.array([(e.start, e.tM) for e in excursions], dtype=float).reshape(-1, 2)
-    entries, exits = price.values[price.grid.index_of(times)].T
-    return TradeLedger(
-        excursions=tuple(excursions), entry_prices=entries, exit_prices=exits, l=l, s=s
-    )
+    return TradeLedger(excursions=exc, entry_prices=price.values[price.grid.index_of(exc.start)],
+                       exit_prices=price.values[price.grid.index_of(exc.tM)], l=l, s=s)
 
 
 def trade_profit(ledger: TradeLedger, literal_indicator: bool = False) -> float:
@@ -283,8 +263,8 @@ def trade_profit(ledger: TradeLedger, literal_indicator: bool = False) -> float:
     A profit beyond the float range raises ValueError.
     """
     gaps = np.abs(np.asarray(ledger.entry_prices) - np.asarray(ledger.exit_prices))
-    below = np.array([e.sign is ExcursionSign.BELOW for e in ledger.excursions], dtype=bool)
-    above = ~below
+    above = ledger.excursions.above
+    below = ~above
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite profit is rejected below
         if literal_indicator:
             sum_below = gaps.sum() if below.any() else 0.0
@@ -298,11 +278,7 @@ def trade_profit(ledger: TradeLedger, literal_indicator: bool = False) -> float:
     return profit
 
 
-def generate_signals(excursions: Sequence[Excursion]) -> list[dict]:
-    """Trade list rows: enter at tau_i (long below / short above), exit at t_M_i."""
-    return [
-        {"entry_time": e.start,
-         "direction": "long" if e.sign is ExcursionSign.BELOW else "short",
-         "exit_time": e.tM}
-        for e in excursions
-    ]
+def generate_signals(exc: Excursions) -> dict:
+    """Trade list columns: enter at tau_i (long below / short above), exit at t_M_i."""
+    return {"entry_time": exc.start, "direction": np.where(exc.above, "short", "long"),
+            "exit_time": exc.tM}

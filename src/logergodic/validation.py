@@ -114,8 +114,8 @@ def criterion_4() -> CriterionResult:
         w = simulate_wiener(grid, path_seed(4004, i))
         zs.append(construct_z_gbm(params, w, beta=2.0))
         ys.append(stochastic.log_path(stochastic.simulate_gbm(params, w)))
-    dz = ergodic.ergodicity_diagnostic(zs, [100.0]).values[0]
-    dy = ergodic.ergodicity_diagnostic(ys, [100.0]).values[0]
+    dz = ergodic.ergodicity_diagnostic(zs, [100.0])[0]
+    dy = ergodic.ergodicity_diagnostic(ys, [100.0])[0]
     ok = abs(dz) <= 1e-3 and abs(dz) < abs(dy)
     return _result(4, "ergodicity diagnostic: |<Z>(100)| <= 1e-3 and < raw-Y diagnostic", ok,
                    f"|<Z>(100)| = {abs(dz):.3e}, raw-Y diagnostic = {abs(dy):.3e}")
@@ -135,16 +135,15 @@ def criterion_5() -> CriterionResult:
         abs(a - b) <= dt + 1e-12 for a, b in zip(taus, (0.0, 0.5, 1.0))))
     stats = trading.sojourn_stats(exc)
     checks.append(abs(stats.mean_above - 0.5) <= dt and abs(stats.mean_below - 0.5) <= dt)
-    oets = sorted(e.tM for e in exc)
+    oets = np.sort(exc.tM)
     checks.append(len(oets) == 2 and abs(oets[0] - 0.25) <= dt and abs(oets[1] - 0.75) <= dt)
 
     price = SamplePath(grid=grid, values=100.0 * np.exp(z.values), kind=PathKind.PRICE)
     ledger = trading.build_ledger(z, price, exc, l=2.0, s=1.5)
     profit = trading.trade_profit(ledger)
     brute = 0.0
-    for e, en, ex in zip(ledger.excursions, ledger.entry_prices, ledger.exit_prices):
-        lev = 2.0 if e.sign is trading.ExcursionSign.BELOW else 1.5
-        brute += lev * abs(en - ex)
+    for above, en, ex in zip(exc.above, ledger.entry_prices, ledger.exit_prices):
+        brute += (1.5 if above else 2.0) * abs(en - ex)
     checks.append(profit == brute)
     return _result(5, "sine-path trading fixture", all(checks),
                    f"taus={np.round(taus, 4).tolist()}, sojourns=({stats.mean_above:.3f}, "

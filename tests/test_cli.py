@@ -312,13 +312,22 @@ class TestArtefactFormat:
         assert (tmp_path / "o" / "fig2_zprocess.csv").read_bytes() == fig2_bytes(
             t, z.values, taus)
 
+    def test_table_with_no_rows_keeps_its_header(self, runner, tmp_path):
+        result = runner.invoke(main, ["--out", str(tmp_path), "trade"])  # seed 0: no excursion
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("0 excursion(s)")
+        for name, header in (
+                ("signals.csv", "entry_time,direction,exit_time"),
+                ("bound_report.csv", "i,contained,vol_drift_ratio,dt_M,d_tau,flagged")):
+            assert (tmp_path / name).read_text().splitlines() == [header]
+
     def test_rotate_circle(self, runner, tmp_path):
         grid = TimeGrid(T=1.0, dt=1e-3)
         w = simulate_wiener(grid, path_seed(3, 0))
         price = simulate_gbm(self.params, w)
         z = construct_z_gbm(self.params, w, beta=2.0)
         theta = floats(theta_process(z, price, K=0.5 * float(np.min(price.values)),
-                                     cfg=EmoConfig(beta=2.0, T=1.0, wT=w.terminal)).values)
+                                     cfg=EmoConfig(beta=2.0, T=1.0, wT=w.terminal)))
         angle = [2 * math.pi * (th % 1.0) for th in theta]
         result = runner.invoke(main, ["--seed", "3", "--out", str(tmp_path), "rotate", "--n",
                                       "1000", "--intervals", "0.0:0.5", "--arcs", "0.5"])

@@ -199,13 +199,20 @@ class TestErgodicityDiagnostic:
             for _ in range(5)
         ]
         curve = ergodicity_diagnostic(paths, horizons=[0.5, 1.0])
-        np.testing.assert_array_equal(curve.values, 0.0)
+        np.testing.assert_array_equal(curve, 0.0)
 
     def test_needs_at_least_two_paths(self):
         grid = TimeGrid(T=1.0, dt=0.1)
         one = [SamplePath(grid=grid, values=np.zeros(11), kind=PathKind.ZPROCESS)]
         with pytest.raises(ValueError, match="at least 2"):
             ergodicity_diagnostic(one, horizons=[1.0])
+
+    @pytest.mark.parametrize("horizons", [[1.0, 0.5], [0.5, 0.5]])
+    def test_horizons_must_strictly_increase(self, horizons):
+        grid = TimeGrid(T=1.0, dt=0.1)
+        two = [SamplePath(grid=grid, values=np.zeros(11), kind=PathKind.ZPROCESS)] * 2
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ergodicity_diagnostic(two, horizons=horizons)
 
     def test_transformed_beats_raw_log_ensemble(self):
         grid = TimeGrid(T=20.0, dt=0.1)
@@ -217,5 +224,5 @@ class TestErgodicityDiagnostic:
         z_curve = ergodicity_diagnostic(zs, horizons=[5.0, 20.0])
         y_curve = ergodicity_diagnostic(ys, horizons=[5.0, 20.0])
         # the transform shrinks the diagnostic by orders of magnitude
-        assert abs(z_curve.values[0]) < 1e-2 * abs(y_curve.values[0])
-        assert abs(z_curve.values[1]) < 1e-2 * abs(y_curve.values[1])
+        assert abs(z_curve[0]) < 1e-2 * abs(y_curve[0])
+        assert abs(z_curve[1]) < 1e-2 * abs(y_curve[1])

@@ -326,19 +326,15 @@ class TestPriceViaPde:
         result = price_via_pde(base_inputs())
         assert "negative_payoff_factor" in result.flags
 
-    def test_second_order_grid_convergence(self):
+    def test_second_order_grid_convergence(self, monkeypatch):
         inp = base_inputs()
         closed = price_ergodic_bs(inp).price
-        errs = [
-            abs(price_via_pde(inp, n_nodes=n).price - closed) for n in (250, 500, 1000)
-        ]
+        errs = []
+        for n in (250, 500, 1000):
+            monkeypatch.setattr(pricing, "_PDE_NODES", n)
+            errs.append(abs(price_via_pde(inp).price - closed))
         assert errs[0] / errs[1] >= 2.0
         assert errs[1] / errs[2] >= 2.0
-
-    @pytest.mark.parametrize("n_nodes", [0, -5])
-    def test_nonpositive_node_count_rejected(self, n_nodes):
-        with pytest.raises(ValueError, match="n_nodes must be at least 1"):
-            price_via_pde(base_inputs(), n_nodes=n_nodes)
 
     def test_zero_payoff_neighborhood_prices_near_zero(self):
         k = 1.1
@@ -418,6 +414,7 @@ class TestOverflowAndGridCap:
             return HeatProblem(**kwargs)
 
         monkeypatch.setattr(pricing, "HeatProblem", spy)
-        for n_nodes in (250, 251, 2000):
-            price_via_pde(inp, n_nodes=n_nodes)
-        assert built == [2 * math.ceil(n / 2) + 1 for n in (250, 251, 2000)]
+        for n_nodes in (250, 2000):
+            monkeypatch.setattr(pricing, "_PDE_NODES", n_nodes)
+            price_via_pde(inp)
+        assert built == [251, 2001]

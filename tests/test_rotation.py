@@ -203,14 +203,13 @@ class TestThetaProcess:
         )
         theta = theta_process(z, constant_price(grid, 100.0), K=0.0,
                               cfg=EmoConfig(beta=2.0, T=1.0, wT=1.0))
-        np.testing.assert_array_equal(theta.values, z.values)
-        np.testing.assert_array_equal(theta.gamma, 0.0)
+        np.testing.assert_array_equal(theta, z.values)
 
     def test_hand_evaluated_log_half(self):
         grid = TimeGrid(T=1.0, dt=0.25)
         theta = theta_process(zero_z(grid), constant_price(grid, 100.0), K=50.0,
                               cfg=EmoConfig(beta=2.0, T=1.0, wT=1.0))
-        np.testing.assert_allclose(theta.values, math.log(0.5), atol=1e-15)
+        np.testing.assert_allclose(theta, math.log(0.5), atol=1e-15)
 
     def test_price_at_strike_not_exercisable(self):
         grid = TimeGrid(T=1.0, dt=0.25)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logergodic import (
-    Excursion,
-    ExcursionSign,
+    Excursions,
     GbmParams,
     PathKind,
     RecurrenceSet,
@@ -58,7 +57,7 @@ class TestDetectRecurrences:
         z = zpath(np.zeros(11))
         rec = detect_recurrences(z)
         np.testing.assert_array_equal(rec.taus, [0.0])
-        assert build_excursions(z, rec) == []
+        assert len(build_excursions(z, rec)) == 0
 
     def test_interior_tangency_is_not_a_recurrence(self):
         # touches 0 at t = 0.5 but never changes sign
@@ -138,26 +137,23 @@ class TestExcursions:
         z = sine_fixture()
         exc = build_excursions(z, detect_recurrences(z))
         assert len(exc) == 2
-        first, second = exc
-        assert first.sign is ExcursionSign.ABOVE
-        assert first.M == pytest.approx(1.0, abs=1e-4)
-        assert first.tM == pytest.approx(0.25, abs=z.grid.dt)
-        assert second.sign is ExcursionSign.BELOW
-        assert second.tM == pytest.approx(0.75, abs=z.grid.dt)
+        assert exc.above.tolist() == [True, False]
+        assert exc.M[0] == pytest.approx(1.0, abs=1e-4)
+        np.testing.assert_allclose(exc.tM, [0.25, 0.75], atol=z.grid.dt)
 
     def test_single_crossing_produces_no_open_ended_excursion(self):
         t = np.linspace(0, 1, 101)
         z = zpath(t - 0.5)  # crosses once, never returns
         exc = build_excursions(z, detect_recurrences(z))
-        assert exc == []
+        assert len(exc) == 0
 
     def test_containment_on_simulated_ensemble(self):
         grid = TimeGrid(T=1.0, dt=0.01)
         for i in range(20):
             w = simulate_wiener(grid, path_seed(55, i))
             z = construct_z_gbm(GBM, w, beta=2.0)
-            for e in build_excursions(z, detect_recurrences(z)):
-                assert e.start < e.tM < e.end
+            exc = build_excursions(z, detect_recurrences(z))
+            assert np.all((exc.start < exc.tM) & (exc.tM < exc.end))
 
     def test_sojourn_stats_sine(self):
         z = sine_fixture()
@@ -167,7 +163,7 @@ class TestExcursions:
         assert stats.count_above == stats.count_below == 1
 
     def test_sojourn_stats_empty(self):
-        stats = sojourn_stats([])
+        stats = sojourn_stats(make_excursions([]))
         assert stats.count_above == stats.count_below == 0
         assert math.isnan(stats.mean_above) and math.isnan(stats.mean_below)
 
@@ -178,15 +174,14 @@ class TestOetBoundReport:
         exc = build_excursions(z, detect_recurrences(z))
         report = oet_bound_report(exc, q=0.08, sigma=0.2)
         assert report.all_contained
-        for row in report.rows:
-            assert row["dt_M"] < row["d_tau"]
+        assert np.all(report.columns["dt_M"] < report.columns["d_tau"])
 
     def test_zero_drift_ratio_is_undefined_marker(self):
         z = sine_fixture()
         exc = build_excursions(z, detect_recurrences(z))
         report = oet_bound_report(exc, q=0.0, sigma=0.2)
-        assert all(math.isnan(r["vol_drift_ratio"]) for r in report.rows)
-        assert not any(r["flagged"] for r in report.rows)
+        assert np.all(np.isnan(report.columns["vol_drift_ratio"]))
+        assert not np.any(report.columns["flagged"])
 
     def test_flagging_is_descriptive_not_asserted(self):
         z = sine_fixture()
@@ -196,13 +191,16 @@ class TestOetBoundReport:
         assert report.all_contained
 
 
-def make_ledger(signs, entries, exits, l=1.0, s=1.0) -> TradeLedger:
-    exc = tuple(
-        Excursion(i=i, start=float(i), end=float(i + 1), sign=sign, M=1.0, tM=i + 0.5)
-        for i, sign in enumerate(signs)
-    )
+def make_excursions(above) -> Excursions:
+    """Unit-length excursions, the i-th on [i, i + 1], on the given sides."""
+    start = np.arange(len(above), dtype=float)
+    return Excursions(start=start, end=start + 1.0, tM=start + 0.5, M=np.ones(len(above)),
+                      above=np.array(above, dtype=bool))
+
+
+def make_ledger(above, entries, exits, l=1.0, s=1.0) -> TradeLedger:
     return TradeLedger(
-        excursions=exc,
+        excursions=make_excursions(above),
         entry_prices=np.asarray(entries, dtype=float),
         exit_prices=np.asarray(exits, dtype=float),
         l=l,
@@ -215,29 +213,23 @@ class TestTradeProfit:
         assert trade_profit(make_ledger([], [], [])) == 0.0
 
     def test_single_below_excursion(self):
-        ledger = make_ledger([ExcursionSign.BELOW], [100.0], [110.0], l=2.0, s=1.0)
+        ledger = make_ledger([False], [100.0], [110.0], l=2.0, s=1.0)
         assert trade_profit(ledger) == pytest.approx(20.0)
 
     def test_mixed_ledger_matches_brute_force(self):
-        signs = [
-            ExcursionSign.BELOW,
-            ExcursionSign.ABOVE,
-            ExcursionSign.BELOW,
-            ExcursionSign.ABOVE,
-        ]
+        above = [False, True, False, True]
         entries = [100.0, 105.0, 95.0, 102.0]
         exits = [110.0, 98.0, 99.0, 108.0]
         l, s = 2.0, 1.5
-        ledger = make_ledger(signs, entries, exits, l=l, s=s)
+        ledger = make_ledger(above, entries, exits, l=l, s=s)
         brute = sum(
-            (l if sign is ExcursionSign.BELOW else s) * abs(en - ex)
-            for sign, en, ex in zip(signs, entries, exits)
+            (s if side else l) * abs(en - ex)
+            for side, en, ex in zip(above, entries, exits)
         )
         assert trade_profit(ledger) == pytest.approx(brute, rel=1e-15)
 
     def test_literal_indicator_double_counts_both_classes(self):
-        signs = [ExcursionSign.BELOW, ExcursionSign.ABOVE]
-        ledger = make_ledger(signs, [100.0, 100.0], [110.0, 90.0], l=2.0, s=3.0)
+        ledger = make_ledger([False, True], [100.0, 100.0], [110.0, 90.0], l=2.0, s=3.0)
         total_gap = 20.0
         assert trade_profit(ledger, literal_indicator=True) == pytest.approx(
             (2.0 + 3.0) * total_gap
@@ -245,7 +237,7 @@ class TestTradeProfit:
 
     def test_negative_leverage_rejected(self):
         with pytest.raises(ValueError, match="leverage"):
-            make_ledger([ExcursionSign.BELOW], [100.0], [110.0], l=-1.0)
+            make_ledger([False], [100.0], [110.0], l=-1.0)
 
     @pytest.mark.parametrize("name", ["l", "s"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -261,7 +253,7 @@ class TestTradeProfit:
         ids=["leverage_times_gap", "sum_of_gaps"],
     )
     def test_profit_beyond_float_range_rejected(self, entries, exits, l, literal_indicator):
-        ledger = make_ledger([ExcursionSign.BELOW] * len(entries), entries, exits, l=l)
+        ledger = make_ledger([False] * len(entries), entries, exits, l=l)
         with pytest.raises(ValueError, match="put the profit outside the float range"):
             trade_profit(ledger, literal_indicator=literal_indicator)
 
@@ -272,7 +264,7 @@ class TestTradeProfit:
     )
     @settings(max_examples=30, deadline=None)
     def test_linear_in_each_leverage_and_nonnegative(self, scale, l, s):
-        signs = [ExcursionSign.BELOW, ExcursionSign.ABOVE, ExcursionSign.BELOW]
+        signs = [False, True, False]
         entries = [100.0, 105.0, 95.0]
         exits = [103.0, 99.0, 95.5]
         base_l = trade_profit(make_ledger(signs, entries, exits, l=1.0, s=s))
@@ -299,17 +291,15 @@ class TestTradeProfit:
 class TestGenerateSignals:
     def test_sine_signals(self):
         z = sine_fixture()
-        rows = generate_signals(build_excursions(z, detect_recurrences(z)))
-        assert len(rows) == 2
-        assert rows[0]["direction"] == "short"
-        assert rows[0]["entry_time"] == pytest.approx(0.0, abs=1e-3)
-        assert rows[0]["exit_time"] == pytest.approx(0.25, abs=1e-3)
-        assert rows[1]["direction"] == "long"
-        assert rows[1]["entry_time"] == pytest.approx(0.5, abs=1e-3)
-        assert rows[1]["exit_time"] == pytest.approx(0.75, abs=1e-3)
+        signals = generate_signals(build_excursions(z, detect_recurrences(z)))
+        assert signals["direction"].tolist() == ["short", "long"]
+        np.testing.assert_allclose(signals["entry_time"], [0.0, 0.5], atol=1e-3)
+        np.testing.assert_allclose(signals["exit_time"], [0.25, 0.75], atol=1e-3)
 
     def test_empty(self):
-        assert generate_signals([]) == []
+        signals = generate_signals(make_excursions([]))
+        assert list(signals) == ["entry_time", "direction", "exit_time"]
+        assert all(len(column) == 0 for column in signals.values())
 
 
 # --- brute-force oracles --------------------------------------------------------
@@ -345,11 +335,11 @@ def detect_recurrences_oracle(z: SamplePath, eps: float = 0.0) -> np.ndarray:
     return np.asarray(taus)
 
 
-def build_excursions_oracle(z: SamplePath, rec: RecurrenceSet) -> list:
+def build_excursions_oracle(z: SamplePath, rec: RecurrenceSet) -> dict:
     taus = np.asarray(rec.taus)
     v = np.asarray(z.values)
     t = z.grid.times()
-    out = []
+    out = {"start": [], "end": [], "tM": [], "M": [], "above": []}
     for i in range(len(taus) - 1):
         start, end = float(taus[i]), float(taus[i + 1])
         inside = np.nonzero((t > start) & (t < end))[0]
@@ -361,9 +351,14 @@ def build_excursions_oracle(z: SamplePath, rec: RecurrenceSet) -> list:
         if m == 0.0:
             continue
         j = inside[jrel]
-        sign = ExcursionSign.ABOVE if v[j] > 0 else ExcursionSign.BELOW
-        out.append(Excursion(i=len(out), start=start, end=end, sign=sign, M=m, tM=float(t[j])))
+        for name, value in zip(out, (start, end, float(t[j]), m, bool(v[j] > 0))):
+            out[name].append(value)
     return out
+
+
+def assert_excursions_equal(exc: Excursions, expected: dict) -> None:
+    for name, column in expected.items():
+        np.testing.assert_array_equal(getattr(exc, name), column, err_msg=name)
 
 
 @st.composite
@@ -385,7 +380,7 @@ class TestVectorisedTradingMatchesOracles:
     def test_recurrences_and_excursions(self, z, eps):
         rec = detect_recurrences(z, eps=eps)
         np.testing.assert_array_equal(rec.taus, detect_recurrences_oracle(z, eps))
-        assert build_excursions(z, rec) == build_excursions_oracle(z, rec)
+        assert_excursions_equal(build_excursions(z, rec), build_excursions_oracle(z, rec))
 
     @given(z=level_walks(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -394,7 +389,7 @@ class TestVectorisedTradingMatchesOracles:
         on_grid = data.draw(st.lists(st.integers(0, z.grid.n), max_size=8))
         between = data.draw(st.lists(st.floats(0.0, z.grid.T), max_size=8))
         rec = RecurrenceSet(taus=np.unique(np.concatenate([t[on_grid], between])))
-        assert build_excursions(z, rec) == build_excursions_oracle(z, rec)
+        assert_excursions_equal(build_excursions(z, rec), build_excursions_oracle(z, rec))
 
     @given(z=level_walks(), seed=st.integers(0, 2**31))
     @settings(max_examples=100, deadline=None)
@@ -405,12 +400,14 @@ class TestVectorisedTradingMatchesOracles:
         exc = build_excursions(z, detect_recurrences(z))
         ledger = build_ledger(z, price, exc, l=1.0, s=1.0)
         pv = price.values
-        assert ledger.entry_prices.tolist() == [pv[grid.index_of(e.start)] for e in exc]
-        assert ledger.exit_prices.tolist() == [pv[grid.index_of(e.tM)] for e in exc]
+        np.testing.assert_array_equal(
+            ledger.entry_prices, [pv[grid.index_of(t)] for t in exc.start.tolist()])
+        np.testing.assert_array_equal(
+            ledger.exit_prices, [pv[grid.index_of(t)] for t in exc.tM.tolist()])
 
     def test_empty_ledger(self):
         z = sine_fixture()
         price = SamplePath(grid=z.grid, values=np.ones(z.grid.n + 1), kind=PathKind.PRICE)
-        ledger = build_ledger(z, price, [], l=1.0, s=1.0)
+        ledger = build_ledger(z, price, make_excursions([]), l=1.0, s=1.0)
         assert ledger.entry_prices.shape == ledger.exit_prices.shape == (0,)
         assert trade_profit(ledger) == 0.0
