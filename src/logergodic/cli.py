@@ -407,10 +407,18 @@ def price(ctx, **flags):
     except ValueError as e:
         raise click.UsageError(f"bad sweep grid: {e}")
 
+    # the rotation pricer reads no swept value: one price, or one error, serves every row
+    rotation_price = rotation_error = ""
+    try:
+        emo = EmoConfig(beta=cfg["beta"], T=cfg["T"], wT=cfg["wT"])
+        rotation_price = pricing.price_rotation_call(
+            emo, cfg["r"], cfg["K"], cfg["s_t0"], cfg["t"]).price
+    except ValueError as e:
+        rotation_error = f"rotation: {e}"
     ergodic = {key: cfg[key] for key in ("r", "K", "T", "beta", "mu", "sigma", "wT")}
     rows = []
     for tau, z, x in itertools.product(tau_list, z_list, x_list):
-        closed_form = pde_price = rel_gap = flags = rotation_price = ""
+        closed_form = pde_price = rel_gap = flags = ""
         try:
             inputs = pricing.PricingInputs(tau=tau, z=z, X=x, **ergodic)
             closed = pricing.price_ergodic_bs(inputs)
@@ -424,12 +432,8 @@ def price(ctx, **flags):
                 rel_gap = abs(pde.price - closed.price) / max(abs(closed.price), 1e-300)
         except ValueError as e:
             errors = [str(e)]
-        try:
-            emo = EmoConfig(beta=cfg["beta"], T=cfg["T"], wT=cfg["wT"])
-            rotation_price = pricing.price_rotation_call(
-                emo, cfg["r"], cfg["K"], cfg["s_t0"], cfg["t"]).price
-        except ValueError as e:
-            errors.append(f"rotation: {e}")
+        if rotation_error:
+            errors.append(rotation_error)
         rows.append((tau, z, x, cfg["K"], closed_form, pde_price, rotation_price, rel_gap, flags,
                      "; ".join(errors)))
     names = ("tau", "z", "X", "K", "closed_form", "pde", "rotation", "rel_gap", "flags", "error")

@@ -58,7 +58,7 @@ class EmoConfig:
                              "float range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecomposedPath:
     """Drift/martingale split of a log path: Y = y0 + drift_part + mart_part."""
 

@@ -223,7 +223,7 @@ def price_ergodic_bs(inputs: PricingInputs) -> PriceResult:
 # --- heat equation machinery --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeatProblem:
     """U_tau = (1/2) eta U_yy on a uniform y grid, integrated to tau_end."""
 

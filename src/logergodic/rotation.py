@@ -20,8 +20,6 @@ __all__ = [
     "SQRT2",
     "GOLDEN_CONJUGATE",
     "TrigPolynomial",
-    "rotate",
-    "orbit",
     "birkhoff_average",
     "equidistribution_test",
     "kac_return_time",
@@ -34,13 +32,6 @@ GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 _PERIODICITY_TOL = 1e-12
 _ORBIT_CHUNK = 1 << 18
 _MAX_ORBIT_STEPS = 1_000_000_000
-
-
-def _check_start(name: str, x: float, theta: float) -> None:
-    if not (0.0 <= x < 1.0):
-        raise ValueError(f"circle point {name} must lie in [0, 1), got {x}")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
 
 
 class TrigPolynomial:
@@ -75,14 +66,6 @@ def _check_periodic(phi: Callable) -> None:
         raise ValueError(f"test function is not periodic: phi(0)={p0}, phi(1)={p1}")
 
 
-def rotate(x: float, theta: float) -> float:
-    """One rotation step: (x + theta) mod 1."""
-    _check_start("x", x, theta)
-    out = (x + theta) % 1.0
-    # float modulo can round up to exactly 1.0 for tiny negative arguments
-    return out if out < 1.0 else 0.0
-
-
 def _orbit_chunk(x: float, theta: float, start: int, stop: int) -> np.ndarray:
     # k*theta computed from the reduced angle so the product stays small and
     # the mod-1 reduction keeps ~1e-11 accuracy out to k = 1e6
@@ -97,22 +80,16 @@ def _orbit_chunks(x: float, theta: float, n: int):
     """The first n orbit points as (index of the first, points) pairs, in
     chunks of at most _ORBIT_CHUNK points: the one scan over an orbit, which
     checks x, theta and 1 <= n <= _MAX_ORBIT_STEPS before its first step."""
-    _check_start("x0", x, theta)
+    if not (0.0 <= x < 1.0):
+        raise ValueError(f"circle point x0 must lie in [0, 1), got {x}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > _MAX_ORBIT_STEPS:
         raise ValueError(f"a scan of {n} orbit steps is more than {_MAX_ORBIT_STEPS}")
     for start in range(0, n, _ORBIT_CHUNK):
         yield start, _orbit_chunk(x, theta, start, min(start + _ORBIT_CHUNK, n))
-
-
-def orbit(x: float, theta: float, n: int) -> np.ndarray:
-    """First n orbit points (x + k*theta) mod 1, k = 0..n-1.
-
-    Each point is computed from the multiple k*theta rather than by iterated
-    addition, so rounding does not accumulate along the orbit.
-    """
-    return np.concatenate([pts for _, pts in _orbit_chunks(x, theta, n)])
 
 
 def birkhoff_average(phi: Callable, x: float, theta: float, n: int) -> float:

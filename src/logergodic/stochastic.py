@@ -79,7 +79,7 @@ class TimeGrid:
         return self.n == other.n and math.isclose(self.dt, other.dt, rel_tol=1e-12)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WienerPath:
     grid: TimeGrid
     w: np.ndarray
@@ -123,7 +123,7 @@ class GbmParams:
         return self.mu - 0.5 * self.sigma**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplePath:
     grid: TimeGrid
     values: np.ndarray

@@ -39,7 +39,7 @@ __all__ = [
 _ZERO_FLOOR_REL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecurrenceSet:
     taus: np.ndarray
 
@@ -48,7 +48,7 @@ class RecurrenceSet:
             raise ValueError("recurrence times must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Excursions:
     """One entry per excursion in each array: its start tau_i and end
     tau_{i+1}, the extremum time t_M and size M = |Z(t_M)|, and whether the
@@ -72,7 +72,7 @@ class SojournStats:
     count_below: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradeLedger:
     excursions: Excursions
     entry_prices: np.ndarray  # X(tau_i)
@@ -92,7 +92,7 @@ class TradeLedger:
             raise ValueError("prices must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
     # named columns, one entry per excursion: i, contained (0/1),
     # vol_drift_ratio = sigma / q (nan when q = 0), dt_M = t_M - tau_i,

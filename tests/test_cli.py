@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -163,19 +164,46 @@ def test_out_of_domain_setting_is_usage_error(runner, tmp_path, args, name):
     assert not (tmp_path / "o").exists()
 
 
+def _child_env() -> dict:
+    """This environment, with the package under test first on PYTHONPATH."""
+    src = str(Path(logergodic.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("theta", ["nan", "inf"])
 def test_non_finite_theta_is_usage_error(tmp_path, theta):
     # in a child process with a timeout, so that an unchecked angle fails
     # instead of stalling
-    src = str(Path(logergodic.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "logergodic.cli", "--out", str(tmp_path / "o"), "rotate",
          "--theta", theta],
-        capture_output=True, text=True, timeout=30, env=env)
+        capture_output=True, text=True, timeout=30, env=_child_env())
     assert result.returncode == 2, result.stderr
     assert f"theta must be finite, got {theta}" in result.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_console_script_runs_the_cli(tmp_path):
+    """The `logergodic` command, run as the wrapper that pip writes for the
+    [project.scripts] entry of pyproject.toml."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    # a regex, not tomllib, which Python 3.10 lacks
+    module, func = re.search(r'^logergodic\s*=\s*"([\w.]+):(\w+)"\s*$',
+                             pyproject.read_text(), re.MULTILINE).groups()
+    wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-c", wrapper, "--out", "o", *args],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                              env=_child_env())
+
+    result = run("rotate", "--theta", "1", "--n", "1000")
+    assert result.returncode == 2, result.stderr
+    assert not (tmp_path / "o").exists()
+    result = run("price", "--taus", "0.5", "--zs", "0.05", "--xs", "100")
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "o" / "pricing_sweep.csv").is_file()
 
 
 def test_config_numbers_stand_in_for_floats_and_text(runner, tmp_path):

@@ -291,10 +291,10 @@ class TestHeatSolvers:
         rel = np.max(np.abs(u_fd[interior] - u_conv[interior])) / np.max(np.abs(u_conv))
         assert rel <= 1e-3
 
-    def test_convolution_bytes_independent_of_blas_threads(self):
+    def test_convolution_bytes_independent_of_blas_threads(self, tmp_path):
         # a 1995-node payoff-step grid on which a matrix-product reduction
         # gave different last bits with one and two OpenBLAS threads
-        script = (
+        convolution = (
             "import hashlib, math, numpy as np\n"
             "from logergodic import HeatProblem, solve_heat_convolution\n"
             "y = 1.0 + 0.20709362896539574 * np.arange(-997, 998)\n"
@@ -304,15 +304,26 @@ class TestHeatSolvers:
             " tau_end=1.7896124484735363)\n"
             "print(hashlib.sha256(solve_heat_convolution(hp).tobytes()).hexdigest())\n"
         )
+        # the `price` sweep at the same near-step points, into the directory argv[1]
+        price = (
+            "import hashlib, pathlib, sys\n"
+            "from logergodic.cli import main\n"
+            "main(['--out', sys.argv[1], 'price', '--taus', '0.1,0.5,0.8948',"
+            " '--zs', '0.05,0.1705', '--xs', '2.2098,100'], standalone_mode=False)\n"
+            "csv = pathlib.Path(sys.argv[1], 'pricing_sweep.csv')\n"
+            "print(hashlib.sha256(csv.read_bytes()).hexdigest())\n"
+        )
         src = str(Path(logergodic.__file__).resolve().parents[1])
-        digests = set()
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            done = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, check=True)
-            digests.add(done.stdout.strip())
-        assert len(digests) == 1
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for name, script in (("convolution", convolution), ("price", price)):
+            digests = set()
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+                done = subprocess.run(
+                    [sys.executable, "-c", script, str(tmp_path / f"{name}{threads}")],
+                    env=env, capture_output=True, text=True, check=True, timeout=60)
+                digests.add(done.stdout.splitlines()[-1])
+            assert len(digests) == 1, name
 
 
 class TestPriceViaPde:

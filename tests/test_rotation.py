@@ -3,8 +3,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from logergodic import (
     GOLDEN_CONJUGATE,
@@ -17,59 +15,9 @@ from logergodic import (
     birkhoff_average,
     equidistribution_test,
     kac_return_time,
-    orbit,
-    rotate,
     theta_process,
 )
 from logergodic import rotation
-
-
-class TestRotate:
-    def test_quarter_plus_half(self):
-        assert rotate(0.25, 0.5) == pytest.approx(0.75, abs=1e-15)
-
-    def test_identity_angle(self):
-        assert rotate(0.3, 0.0) == 0.3
-
-    def test_wraps_into_unit_interval(self):
-        theta = math.sqrt(2) - 1
-        assert rotate(0.9, theta) == pytest.approx(0.9 + theta - 1.0, abs=1e-12)
-
-    def test_point_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError):
-            rotate(1.2, 0.1)
-        with pytest.raises(ValueError):
-            rotate(-0.1, 0.1)
-
-    @given(x=st.floats(0.0, 1.0, exclude_max=True), theta=st.floats(-10.0, 10.0))
-    @settings(max_examples=50, deadline=None)
-    def test_image_stays_in_unit_interval(self, x, theta):
-        assert 0.0 <= rotate(x, theta) < 1.0
-
-
-class TestOrbit:
-    def test_rational_half_angle_alternates(self):
-        np.testing.assert_allclose(orbit(0.0, 0.5, 4), [0.0, 0.5, 0.0, 0.5])
-
-    def test_matches_iterated_rotation(self):
-        theta = SQRT2
-        pts = orbit(0.1, theta, 100_000)
-        for k in (10, 1000, 99_999):
-            assert pts[k] == pytest.approx((0.1 + k * (theta % 1.0)) % 1.0, abs=1e-12)
-        # explicit iteration agrees within 1e-9
-        x = 0.1
-        for _ in range(1000):
-            x = rotate(x, theta)
-        assert x == pytest.approx(pts[1000], abs=1e-9)
-
-    def test_orbit_is_dense_at_scale_one_thousandth(self):
-        pts = orbit(0.0, SQRT2, 100_000)
-        counts, _ = np.histogram(pts, bins=1000, range=(0.0, 1.0))
-        assert np.all(counts > 0)
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            orbit(0.0, SQRT2, 0)
 
 
 class TestBirkhoffAverage:
@@ -113,14 +61,12 @@ class TestEquidistribution:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda theta: rotate(0.0, theta),
-        lambda theta: orbit(0.0, theta, 10),
         lambda theta: birkhoff_average(TrigPolynomial(c0=1.0), x=0.0, theta=theta, n=10),
         lambda theta: equidistribution_test(theta, 0.0, 0.5, x0=0.0, n=10),
         # unchecked, a nan angle never returns and the scan runs out its step budget
         lambda theta: kac_return_time(theta, (0.0, 1.0), x0=0.0, n_returns=1),
     ],
-    ids=["rotate", "orbit", "birkhoff_average", "equidistribution_test", "kac_return_time"],
+    ids=["birkhoff_average", "equidistribution_test", "kac_return_time"],
 )
 def test_non_finite_theta_rejected(call, theta):
     with pytest.raises(ValueError, match="theta"):
@@ -157,7 +103,7 @@ class TestKacReturnTime:
     )
     def test_matches_brute_force_hit_gaps(self, theta, arc, n_returns):
         a, b = arc
-        pts = orbit(a, theta, math.ceil(4 * n_returns / (b - a)))
+        pts = (a + np.arange(math.ceil(4 * n_returns / (b - a))) * (theta % 1.0)) % 1.0
         hits = np.flatnonzero((pts >= a) & (pts < b))
         if n_returns == 100_000:
             assert hits[n_returns] > rotation._ORBIT_CHUNK
