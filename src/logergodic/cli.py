@@ -24,7 +24,7 @@ import numpy as np
 
 from . import pricing, rotation, stochastic, trading
 from .ergodic import EmoConfig, construct_z_gbm
-from .stochastic import GbmParams, PathKind, TimeGrid, path_seed, simulate_wiener
+from .stochastic import GbmParams, TimeGrid, path_seed, simulate_wiener
 
 _THETA_FIXTURES = {"sqrt2": rotation.SQRT2, "golden": rotation.GOLDEN_CONJUGATE}
 
@@ -107,18 +107,15 @@ def _rows(columns):
     return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
 
 
-def _columns(header: list[str], *columns):
-    """A CSV writer; the rows are built only when the file is written."""
-    return lambda fh: stochastic._write_csv(fh, header, _rows(columns))
-
-
 def _table(stem: str, columns: dict, fmt: str) -> dict:
     """A table file from named columns: a CSV, whose header stays when there
-    are no rows, or a JSON list of rows."""
+    are no rows and whose rows are built only when it is written, or a JSON
+    list of rows."""
     if fmt == "json":
         rows = [dict(zip(columns, row)) for row in _rows(columns.values())]
         return {f"{stem}.json": _json(rows)}
-    return {f"{stem}.csv": _columns(list(columns), *columns.values())}
+    header = list(columns)
+    return {f"{stem}.csv": lambda fh: stochastic._write_csv(fh, header, _rows(columns.values()))}
 
 
 def _emit(ctx, command: str, resolved: dict, files: dict) -> Path:
@@ -221,8 +218,8 @@ def simulate(ctx, **flags):
     paths = [stochastic.simulate_gbm(params, simulate_wiener(grid, path_seed(seed, i)))
              for i in range(n_paths)]
     if cfg["wide"]:
-        files = {"paths_wide.csv": _columns(["t"] + [f"path_{i}" for i in range(n_paths)],
-                                            grid.times(), *(p.values for p in paths))}
+        columns = {"t": grid.times(), **{f"path_{i}": p.values for i, p in enumerate(paths)}}
+        files = _table("paths_wide", columns, "csv")
     else:
         files = {f"path_{i:04d}.csv": functools.partial(stochastic.write_path_csv, p)
                  for i, p in enumerate(paths)}
@@ -259,7 +256,7 @@ def trade(ctx, input_path, literal_indicator, **flags):
     if input_path:
         try:
             with open(input_path) as fh:
-                price = stochastic.read_path_csv(fh, PathKind.PRICE)
+                price = stochastic.read_path_csv(fh)
         except ValueError as e:
             raise click.UsageError(f"bad --input {input_path}: {e}")
         grid = price.grid
@@ -303,8 +300,8 @@ def trade(ctx, input_path, literal_indicator, **flags):
         **_table("signals", trading.generate_signals(exc), fmt),
         **_table("bound_report", bounds.columns, fmt),
         "summary.json": _json(summary),
-        "fig1_price.csv": _columns(["t", "price"], t, price.values),
-        "fig2_zprocess.csv": _columns(["t", "z", "recurrence"], fig_t, fig_z, mark),
+        **_table("fig1_price", {"t": t, "price": price.values}, "csv"),
+        **_table("fig2_zprocess", {"t": fig_t, "z": fig_z, "recurrence": mark}, "csv"),
     })
     click.echo(f"{len(exc)} excursion(s), profit {profit:.6f}; wrote {out}")
 
@@ -374,9 +371,9 @@ def rotate(ctx, **flags):
                                  "rel_error": np.abs(mean * arcs - 1.0)}, fmt),
         **_table("birkhoff", {"function": list(phis), "average": avg, "target": integral,
                               "abs_error": np.abs(avg - integral)}, fmt),
-        "fig3_circle.csv": _columns(["t", "price", "theta", "circle_x", "circle_y"],
-                                    grid.times(), price.values, theta,
-                                    map(math.cos, angle), map(math.sin, angle)),
+        **_table("fig3_circle", {"t": grid.times(), "price": price.values, "theta": theta,
+                                 "circle_x": map(math.cos, angle),
+                                 "circle_y": map(math.sin, angle)}, "csv"),
     })
     click.echo(f"wrote rotation diagnostics to {out}")
 

@@ -24,7 +24,6 @@ __all__ = [
     "EmoConfig",
     "DecomposedPath",
     "apply_emo",
-    "emo_decomposition",
     "apply_iemo",
     "construct_z_gbm",
     "ergodicity_diagnostic",
@@ -77,8 +76,11 @@ class DecomposedPath:
         return self.y0 + self.drift_part + self.mart_part
 
 
-def emo_decomposition(dec: DecomposedPath, cfg: EmoConfig) -> DecomposedPath:
-    """Component-wise image of the transform: the drift/martingale split of Z."""
+def apply_emo(dec: DecomposedPath, cfg: EmoConfig) -> DecomposedPath:
+    """The split of Z = (wT / T^beta) * D + (1 / T^beta) * R; its y0 is 0.
+
+    Z's values are the returned split's ``reconstruct()``.
+    """
     if not math.isclose(dec.grid.T, cfg.T, rel_tol=1e-12):
         raise ValueError(f"config horizon {cfg.T} does not match grid horizon {dec.grid.T}")
     scale = cfg.T**cfg.beta
@@ -90,32 +92,22 @@ def emo_decomposition(dec: DecomposedPath, cfg: EmoConfig) -> DecomposedPath:
     )
 
 
-def apply_emo(dec: DecomposedPath, cfg: EmoConfig) -> SamplePath:
-    """Z = (wT / T^beta) * D + (1 / T^beta) * R; Z[0] = 0."""
-    zdec = emo_decomposition(dec, cfg)
-    return SamplePath(
-        grid=dec.grid,
-        values=zdec.drift_part + zdec.mart_part,
-        kind=PathKind.ZPROCESS,
-    )
+def apply_iemo(z: DecomposedPath, c: float, cfg: EmoConfig) -> DecomposedPath:
+    """Inverse transform of the split of Z: y0 = c, drift (T^beta / wT) * D_z and
+    martingale T^beta * R_z.
 
-
-def apply_iemo(z: SamplePath, c: float, cfg: EmoConfig, dec_shape: DecomposedPath) -> SamplePath:
-    """Inverse transform: c + (T^beta / wT) * D_z + T^beta * R_z.
-
-    dec_shape carries the drift/martingale split of z itself (the scalar path
-    alone is not invertible).  With c = y0 of the original path, the round
-    trip through apply_emo is the identity.
+    The scalar Z path alone is not invertible; its split is.  With c = y0 of
+    the original path, the round trip through apply_emo is the identity.
     """
-    if z.kind is not PathKind.ZPROCESS:
-        raise ValueError(f"apply_iemo expects a zprocess path, got {z.kind.value}")
     if cfg.wT == 0.0:
         raise ValueError("wT = 0: inverse transform is singular")
-    if not z.grid.compatible(dec_shape.grid):
-        raise ValueError("z and dec_shape must share a grid")
     scale = cfg.T**cfg.beta
-    y = c + (scale / cfg.wT) * dec_shape.drift_part + scale * dec_shape.mart_part
-    return SamplePath(grid=z.grid, values=y, kind=PathKind.LOGPRICE)
+    return DecomposedPath(
+        grid=z.grid,
+        y0=c,
+        drift_part=(scale / cfg.wT) * z.drift_part,
+        mart_part=scale * z.mart_part,
+    )
 
 
 def construct_z_gbm(params: GbmParams, wiener: WienerPath, beta: float) -> SamplePath:
@@ -148,6 +140,8 @@ def ergodicity_diagnostic(
         if not p.grid.compatible(grid):
             raise ValueError("ensemble paths must share a grid")
     horizons = np.asarray(horizons, dtype=float)
+    if not np.all(horizons > 0):
+        raise ValueError(f"horizons must be positive, got {horizons.tolist()}")
     if np.any(np.diff(horizons) <= 0):
         raise ValueError("horizons must be strictly increasing")
     if np.any(horizons > grid.T * (1 + 1e-12)):

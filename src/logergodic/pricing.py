@@ -53,6 +53,7 @@ _KERNEL_WIDTH_STD = 3.9
 # price_via_pde's grid: _PDE_NODES steps across its span, _PDE_NODES + 1 nodes
 _PDE_NODES = 2000
 _MASS_TOL = 1e-4
+_MAX_FD_STEPS = 10**6  # solve_heat_fd refuses to take more steps than this
 
 
 @dataclass(frozen=True)
@@ -306,13 +307,17 @@ def solve_heat_fd(hp: HeatProblem, dt: float) -> np.ndarray:
     """U(., tau_end) by Crank-Nicolson steps on second-order central differences in y.
 
     dt is rounded so that a whole number of steps reaches tau_end; Crank-Nicolson
-    is unconditionally stable, so any positive dt is accepted.  Dirichlet
-    boundaries hold the far-field values of the initial data fixed
-    (payoff-type data is affine-to-constant far from the kink, so its value
-    does not diffuse at the edges of a sufficiently wide grid).
+    is unconditionally stable, so any finite dt > 0 is accepted that needs at
+    most _MAX_FD_STEPS steps.  Dirichlet boundaries hold the far-field values
+    of the initial data fixed (payoff-type data is affine-to-constant far from
+    the kink, so its value does not diffuse at the edges of a sufficiently wide grid).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    # a product, not the ratio tau_end / dt, which overflows for a subnormal dt
+    if hp.tau_end > _MAX_FD_STEPS * dt:
+        raise ValueError(f"tau_end = {hp.tau_end} and dt = {dt} ask for more than "
+                         f"{_MAX_FD_STEPS} Crank-Nicolson steps")
     dy = hp.dy
     n_steps = max(1, round(hp.tau_end / dt))
     dt = hp.tau_end / n_steps

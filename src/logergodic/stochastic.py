@@ -176,14 +176,10 @@ def simulate_gbm(params: GbmParams, wiener: WienerPath) -> SamplePath:
 
 
 def log_path(price: SamplePath) -> SamplePath:
-    """Pointwise natural log of a price path."""
+    """Pointwise natural log of a price path, which SamplePath keeps positive."""
     if price.kind is not PathKind.PRICE:
         raise ValueError(f"log_path expects a price path, got {price.kind.value}")
-    v = price.values
-    bad = np.nonzero(v <= 0)[0]
-    if bad.size:
-        raise ValueError(f"non-positive price at index {bad[0]}: {v[bad[0]]}")
-    return SamplePath(grid=price.grid, values=np.log(v), kind=PathKind.LOGPRICE)
+    return SamplePath(grid=price.grid, values=np.log(price.values), kind=PathKind.LOGPRICE)
 
 
 # --- serialization -----------------------------------------------------------
@@ -201,10 +197,9 @@ def path_header(path: SamplePath, seed: int | None = None, params: dict | None =
 
 
 def _write_csv(fh: IO[str], header: list[str], rows) -> None:
-    """Write one CSV table to an open text file; no header and no rows write nothing."""
+    """Write one CSV table, its header first, to an open text file."""
     writer = csv.writer(fh)
-    if header:
-        writer.writerow(header)
+    writer.writerow(header)
     writer.writerows(rows)
 
 
@@ -212,8 +207,8 @@ def write_path_csv(path: SamplePath, fh: IO[str]) -> None:
     _write_csv(fh, ["t", "value"], zip(path.grid.times().tolist(), path.values.tolist()))
 
 
-def read_path_csv(fh: IO[str], kind: PathKind) -> SamplePath:
-    """Read a 't,value' CSV whose times are the uniform grid 0, dt, ..., T."""
+def read_path_csv(fh: IO[str]) -> SamplePath:
+    """Read a 't,value' price CSV whose times are the uniform grid 0, dt, ..., T."""
     reader = csv.reader(fh)
     header = next(reader, None)
     if header is None:
@@ -234,4 +229,4 @@ def read_path_csv(fh: IO[str], kind: PathKind) -> SamplePath:
     # same tolerance as TimeGrid's check that dt divides T
     if len(t) != grid.n + 1 or not np.max(np.abs(t - grid.times())) <= 1e-9 * max(1.0, grid.T):
         raise ValueError(f"path CSV times are not the uniform grid 0, {grid.dt!r}, ..., {grid.T!r}")
-    return SamplePath(grid=grid, values=v, kind=kind)
+    return SamplePath(grid=grid, values=v, kind=PathKind.PRICE)

@@ -18,7 +18,6 @@ import logergodic
 from logergodic import (
     EmoConfig,
     GbmParams,
-    PathKind,
     TimeGrid,
     WienerPath,
     construct_z_gbm,
@@ -330,7 +329,7 @@ class TestArtefactFormat:
         src.write_text("t,value\n" + "".join(f"{a!r},{b!r}\n"
                                              for a, b in zip(t.tolist(), s.tolist())))
         with open(src) as fh:
-            logp = log_path(read_path_csv(fh, PathKind.PRICE)).values
+            logp = log_path(read_path_csv(fh)).values
         wiener = WienerPath(grid=grid, w=(logp - logp[0] - self.params.q * t) / 0.2)
         z = construct_z_gbm(self.params, wiener, beta=2.0)
         taus = detect_recurrences(z).taus

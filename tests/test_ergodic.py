@@ -23,7 +23,6 @@ from logergodic import (
     simulate_gbm,
     simulate_wiener,
 )
-from logergodic.ergodic import emo_decomposition
 
 GBM = GbmParams(mu=0.1, sigma=0.2, s0=100.0)  # q = 0.08
 
@@ -49,15 +48,14 @@ class TestApplyEmo:
             grid=grid, y0=3.7, drift_part=np.zeros(11), mart_part=np.zeros(11)
         )
         z = apply_emo(dec, EmoConfig(beta=2.0, T=1.0, wT=0.4))
-        np.testing.assert_array_equal(z.values, 0.0)
-        assert z.kind is PathKind.ZPROCESS
+        np.testing.assert_array_equal(z.reconstruct(), 0.0)
 
     def test_starts_at_zero(self):
         z = apply_emo(
             random_decomposition(0, TimeGrid(T=1.0, dt=0.1)),
             EmoConfig(beta=2.0, T=1.0, wT=0.4),
         )
-        assert z.values[0] == 0.0
+        assert z.reconstruct()[0] == 0.0
 
     def test_hand_evaluated_gbm_point(self):
         # q = 0.08, sigma = 0.2, T = 1, beta = 2, W_T = 0.3, W_0.5 = -0.1
@@ -66,7 +64,7 @@ class TestApplyEmo:
         y = log_path(simulate_gbm(GBM, w))
         dec = gbm_split(y)
         z = apply_emo(dec, EmoConfig(beta=2.0, T=1.0, wT=w.terminal))
-        assert z.values[1] == pytest.approx(-0.008, abs=1e-12)
+        assert z.reconstruct()[1] == pytest.approx(-0.008, abs=1e-12)
 
     def test_beta_at_or_below_threshold_rejected(self):
         with pytest.raises(ValueError, match="beta"):
@@ -101,8 +99,8 @@ class TestApplyEmo:
             drift_part=a * p.drift_part + b * q.drift_part,
             mart_part=a * p.mart_part + b * q.mart_part,
         )
-        lhs = apply_emo(combo, cfg).values
-        rhs = a * apply_emo(p, cfg).values + b * apply_emo(q, cfg).values
+        lhs = apply_emo(combo, cfg).reconstruct()
+        rhs = a * apply_emo(p, cfg).reconstruct() + b * apply_emo(q, cfg).reconstruct()
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     @given(seed=st.integers(0, 2**31), shift=st.floats(-100, 100))
@@ -114,7 +112,8 @@ class TestApplyEmo:
         shifted = DecomposedPath(
             grid=grid, y0=dec.y0 + shift, drift_part=dec.drift_part, mart_part=dec.mart_part
         )
-        np.testing.assert_array_equal(apply_emo(dec, cfg).values, apply_emo(shifted, cfg).values)
+        np.testing.assert_array_equal(apply_emo(dec, cfg).reconstruct(),
+                                      apply_emo(shifted, cfg).reconstruct())
 
 
 class TestApplyIemo:
@@ -122,19 +121,16 @@ class TestApplyIemo:
         grid = TimeGrid(T=1.0, dt=0.01)
         cfg = EmoConfig(beta=2.0, T=1.0, wT=0.4)
         dec = random_decomposition(7, grid)
-        z = apply_emo(dec, cfg)
-        back = apply_iemo(z, dec.y0, cfg, emo_decomposition(dec, cfg))
-        np.testing.assert_allclose(back.values, dec.reconstruct(), atol=1e-10)
-        assert back.kind is PathKind.LOGPRICE
+        back = apply_iemo(apply_emo(dec, cfg), dec.y0, cfg)
+        np.testing.assert_allclose(back.reconstruct(), dec.reconstruct(), atol=1e-10)
 
     def test_constant_choice_is_an_exact_affine_offset(self):
         grid = TimeGrid(T=1.0, dt=0.1)
         cfg = EmoConfig(beta=2.0, T=1.0, wT=0.4)
         dec = random_decomposition(8, grid)
         z = apply_emo(dec, cfg)
-        shape = emo_decomposition(dec, cfg)
-        a = apply_iemo(z, 1.25, cfg, shape).values
-        b = apply_iemo(z, -0.75, cfg, shape).values
+        a = apply_iemo(z, 1.25, cfg).reconstruct()
+        b = apply_iemo(z, -0.75, cfg).reconstruct()
         np.testing.assert_array_equal(a - b, np.full_like(a, 2.0))
 
     def test_gbm_round_trip(self):
@@ -143,17 +139,15 @@ class TestApplyIemo:
         y = log_path(simulate_gbm(GBM, w))
         dec = gbm_split(y)
         cfg = EmoConfig(beta=2.0, T=1.0, wT=w.terminal)
-        z = apply_emo(dec, cfg)
-        back = apply_iemo(z, dec.y0, cfg, emo_decomposition(dec, cfg))
-        np.testing.assert_allclose(back.values, y.values, atol=1e-10)
+        back = apply_iemo(apply_emo(dec, cfg), dec.y0, cfg)
+        np.testing.assert_allclose(back.reconstruct(), y.values, atol=1e-10)
 
     def test_zero_terminal_value_is_singular(self):
         grid = TimeGrid(T=1.0, dt=0.1)
         cfg = EmoConfig(beta=2.0, T=1.0, wT=0.0)
-        dec = random_decomposition(1, grid)
-        z = SamplePath(grid=grid, values=np.zeros(11), kind=PathKind.ZPROCESS)
+        z = random_decomposition(1, grid)
         with pytest.raises(ValueError, match="singular"):
-            apply_iemo(z, 0.0, cfg, dec)
+            apply_iemo(z, 0.0, cfg)
 
 
 class TestConstructZGbm:
@@ -176,7 +170,7 @@ class TestConstructZGbm:
             y = log_path(simulate_gbm(GBM, w))
             dec = gbm_split(y)
             via_emo = apply_emo(dec, EmoConfig(beta=2.0, T=1.0, wT=w.terminal))
-            worst = max(worst, float(np.max(np.abs(direct.values - via_emo.values))))
+            worst = max(worst, float(np.max(np.abs(direct.values - via_emo.reconstruct()))))
         assert worst <= 1e-10
 
     def test_beta_validation(self):
@@ -206,6 +200,13 @@ class TestErgodicityDiagnostic:
         one = [SamplePath(grid=grid, values=np.zeros(11), kind=PathKind.ZPROCESS)]
         with pytest.raises(ValueError, match="at least 2"):
             ergodicity_diagnostic(one, horizons=[1.0])
+
+    @pytest.mark.parametrize("horizon", [0.0, -0.5, math.nan])
+    def test_horizons_must_be_positive(self, horizon):
+        grid = TimeGrid(T=1.0, dt=0.1)
+        two = [SamplePath(grid=grid, values=np.zeros(11), kind=PathKind.ZPROCESS)] * 2
+        with pytest.raises(ValueError, match="horizons must be positive"):
+            ergodicity_diagnostic(two, horizons=[horizon])
 
     @pytest.mark.parametrize("horizons", [[1.0, 0.5], [0.5, 0.5]])
     def test_horizons_must_strictly_increase(self, horizons):

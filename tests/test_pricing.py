@@ -283,6 +283,19 @@ class TestHeatSolvers:
         hp = HeatProblem(eta=1.0, grid_y=y, initial=np.zeros_like(y), tau_end=0.5)
         np.testing.assert_array_equal(solve_heat_fd(hp, dt=0.01), 0.0)
 
+    @pytest.mark.parametrize("dt, match", [
+        (math.nan, "dt must be positive and finite"),
+        (math.inf, "dt must be positive and finite"),
+        # 4e299 and 8e323 steps: refused before the first one
+        (1e-300, "tau_end = 0.4 and dt = 1e-300"),
+        (5e-324, "tau_end = 0.4 and dt = 5e-324"),
+    ])
+    def test_fd_refuses_a_bad_or_tiny_step_at_once(self, dt, match):
+        y = np.linspace(-5.0, 5.0, 101)
+        hp = HeatProblem(eta=1.0, grid_y=y, initial=np.zeros_like(y), tau_end=0.4)
+        with pytest.raises(ValueError, match=match):
+            solve_heat_fd(hp, dt=dt)
+
     def test_cross_solver_agreement(self):
         hp = gaussian_problem()
         u_conv = solve_heat_convolution(hp)

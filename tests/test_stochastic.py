@@ -219,7 +219,7 @@ class TestSerialization:
         buf = io.StringIO()
         write_path_csv(s, buf)
         buf.seek(0)
-        back = read_path_csv(buf, PathKind.PRICE)
+        back = read_path_csv(buf)
         assert back.grid.compatible(grid)
         np.testing.assert_array_equal(back.values, s.values)
 
@@ -242,7 +242,7 @@ class TestSerialization:
     )
     def test_malformed_csv_names_the_cause(self, text, cause):
         with pytest.raises(ValueError, match=cause):
-            read_path_csv(io.StringIO(text), PathKind.PRICE)
+            read_path_csv(io.StringIO(text))
 
     def test_header_contents(self):
         grid = TimeGrid(T=1.0, dt=0.25)
