@@ -271,19 +271,16 @@ def trade(ctx, input_path, literal_indicator, **flags):
 
     rec = trading.detect_recurrences(z, eps=cfg["eps"])
     exc = trading.build_excursions(z, rec)
-    stats = trading.sojourn_stats(exc)
-    ledger = trading.build_ledger(z, price, exc, l=cfg["l"], s=cfg["s"])
-    profit = trading.trade_profit(ledger, literal_indicator=literal_indicator)
+    entry_prices, exit_prices = trading.build_ledger(z, price, exc)
+    profit = trading.trade_profit(exc, entry_prices, exit_prices, cfg["l"], cfg["s"],
+                                  literal_indicator=literal_indicator)
     bounds = trading.oet_bound_report(exc, params.q, params.sigma)
     summary = {
         "n_excursions": len(exc),
-        "mean_sojourn_above": stats.mean_above,
-        "mean_sojourn_below": stats.mean_below,
-        "count_above": stats.count_above,
-        "count_below": stats.count_below,
+        **trading.sojourn_stats(exc),
         "profit": profit,
-        "all_contained": bounds.all_contained,
-        "fraction_flagged": bounds.fraction_flagged,
+        "all_contained": bool(bounds["contained"].all()),
+        "fraction_flagged": float(bounds["flagged"].mean()) if len(exc) else 0.0,
     }
 
     # figure data: price path, and Z with recurrence markers at the level
@@ -298,7 +295,7 @@ def trade(ctx, input_path, literal_indicator, **flags):
                 "seed": seed, "input": input_path}
     out = _emit(ctx, "trade", resolved, {
         **_table("signals", trading.generate_signals(exc), fmt),
-        **_table("bound_report", bounds.columns, fmt),
+        **_table("bound_report", bounds, fmt),
         "summary.json": _json(summary),
         **_table("fig1_price", {"t": t, "price": price.values}, "csv"),
         **_table("fig2_zprocess", {"t": fig_t, "z": fig_z, "recurrence": mark}, "csv"),

@@ -102,6 +102,8 @@ def apply_iemo(z: DecomposedPath, c: float, cfg: EmoConfig) -> DecomposedPath:
     if cfg.wT == 0.0:
         raise ValueError("wT = 0: inverse transform is singular")
     scale = cfg.T**cfg.beta
+    if not math.isfinite(scale / cfg.wT):
+        raise ValueError(f"wT = {cfg.wT} puts T^beta / wT outside the float range")
     return DecomposedPath(
         grid=z.grid,
         y0=c,

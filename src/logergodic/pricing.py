@@ -234,10 +234,10 @@ class HeatProblem:
     tau_end: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not self.tau_end > 0:
-            raise ValueError(f"tau_end must be positive, got {self.tau_end}")
+        for name in ("eta", "tau_end"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if len(self.grid_y) != len(self.initial):
             raise ValueError("grid and initial data must have equal length")
         if len(self.grid_y) < 3:
@@ -255,10 +255,9 @@ class HeatProblem:
 
 def heat_kernel(y, tau: float, eta: float):
     """Gaussian fundamental solution with variance tau * eta."""
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    for name, value in (("tau", tau), ("eta", eta)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     var = tau * eta
     y = np.asarray(y, dtype=float)
     out = np.exp(-(y**2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
@@ -350,7 +349,8 @@ def price_via_pde(inputs: PricingInputs) -> PriceResult:
     solution is the trapezoid sum at ln X alone, which need not be a node, so
     the work is O(nodes) at every tau and X.  It is multiplied by the discount
     and reconstruction factor and agrees with the closed form to quadrature
-    accuracy.
+    accuracy.  A tau so short that the kernel is narrower than the grid step
+    raises ValueError.
     """
     c = derive_coefficients(inputs)
     two_pl = 2.0 * c.p * c.lam
@@ -360,8 +360,12 @@ def price_via_pde(inputs: PricingInputs) -> PriceResult:
     payoff = abs(inputs.z) - math.log(inputs.K)
 
     half_span = max(_KERNEL_WIDTH_STD * 2.1 * std, abs(query_y - step_y) + 6 * std)
+    dy = 2 * half_span / _PDE_NODES
+    if dy > std:  # a kernel narrower than the grid step makes the quadrature wrong
+        raise ValueError(f"tau = {inputs.tau} is too short for the heat grid at X = {inputs.X}: "
+                         f"kernel std {std:.3g} is below the grid step {dy:.3g}")
     h = _PDE_NODES // 2
-    grid_y = step_y + (2 * half_span / _PDE_NODES) * np.arange(-h, h + 1)
+    grid_y = step_y + dy * np.arange(-h, h + 1)
     initial = np.where(grid_y > step_y, payoff, 0.0)
     initial[h] = 0.5 * payoff
     hp = HeatProblem(eta=c.eta, grid_y=grid_y, initial=initial, tau_end=two_pl / c.eta)

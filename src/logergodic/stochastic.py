@@ -50,6 +50,8 @@ class TimeGrid:
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"step dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError(f"T = {self.T} over dt = {self.dt} is beyond the float range")
         n = self.n
         if n < 2:
             raise ValueError(f"grid needs at least 2 steps, got n={n}")

@@ -21,9 +21,6 @@ from .stochastic import PathKind, SamplePath
 __all__ = [
     "RecurrenceSet",
     "Excursions",
-    "SojournStats",
-    "TradeLedger",
-    "BoundReport",
     "detect_recurrences",
     "subgrid_crossing_probability",
     "build_excursions",
@@ -62,44 +59,6 @@ class Excursions:
 
     def __len__(self) -> int:
         return len(self.start)
-
-
-@dataclass(frozen=True)
-class SojournStats:
-    mean_above: float  # nan when count_above == 0
-    mean_below: float  # nan when count_below == 0
-    count_above: int
-    count_below: int
-
-
-@dataclass(frozen=True, eq=False)
-class TradeLedger:
-    excursions: Excursions
-    entry_prices: np.ndarray  # X(tau_i)
-    exit_prices: np.ndarray  # X(t_M_i)
-    l: float
-    s: float
-
-    def __post_init__(self):
-        for name, value in (("l", self.l), ("s", self.s)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"leverage {name} must be finite and nonnegative, got {value}")
-        if len(self.entry_prices) != len(self.excursions) or len(self.exit_prices) != len(
-            self.excursions
-        ):
-            raise ValueError("one (entry, exit) price pair per excursion")
-        if np.any(np.asarray(self.entry_prices) <= 0) or np.any(np.asarray(self.exit_prices) <= 0):
-            raise ValueError("prices must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class BoundReport:
-    # named columns, one entry per excursion: i, contained (0/1),
-    # vol_drift_ratio = sigma / q (nan when q = 0), dt_M = t_M - tau_i,
-    # d_tau = tau_{i+1} - tau_i, flagged (0/1) = vol_drift_ratio > d_tau
-    columns: dict
-    all_contained: bool
-    fraction_flagged: float
 
 
 def detect_recurrences(z: SamplePath, eps: float = 0.0) -> RecurrenceSet:
@@ -202,56 +161,51 @@ def build_excursions(z: SamplePath, rec: RecurrenceSet) -> Excursions:
                       above=v[j] > 0)
 
 
-def sojourn_stats(exc: Excursions) -> SojournStats:
+def sojourn_stats(exc: Excursions) -> dict:
+    """Mean sojourn length and count on each side of the level; the mean of
+    an empty side is nan."""
     delta = exc.end - exc.start
     above, below = delta[exc.above], delta[~exc.above]
-    return SojournStats(
-        mean_above=float(np.mean(above)) if above.size else math.nan,
-        mean_below=float(np.mean(below)) if below.size else math.nan,
-        count_above=above.size,
-        count_below=below.size,
-    )
+    return {"mean_sojourn_above": float(np.mean(above)) if above.size else math.nan,
+            "mean_sojourn_below": float(np.mean(below)) if below.size else math.nan,
+            "count_above": above.size, "count_below": below.size}
 
 
-def oet_bound_report(exc: Excursions, q: float, sigma: float) -> BoundReport:
+def oet_bound_report(exc: Excursions, q: float, sigma: float) -> dict:
     """Descriptive report on exit-time placement inside each excursion.
 
     Containment tau_i < t_M < tau_{i+1} is checked per excursion.  The ratio
     sigma / q of the log volatility to the log drift is tabulated alongside
     the increments and an excursion is flagged when the ratio exceeds the
-    sojourn length; no pass threshold is imposed on the flags.
+    sojourn length; no pass threshold is imposed on the flags.  Named
+    columns, one entry per excursion: i, contained (0/1), vol_drift_ratio =
+    sigma / q (nan when q = 0), dt_M = t_M - tau_i, d_tau = tau_{i+1} - tau_i
+    and flagged (0/1) = vol_drift_ratio > d_tau.
     """
     ratio = sigma / q if q != 0.0 else math.nan
     d_tau = exc.end - exc.start
     contained = (exc.start < exc.tM) & (exc.tM < exc.end)
     flagged = ratio > d_tau  # False wherever the ratio is nan
-    return BoundReport(
-        columns={"i": np.arange(len(exc)), "contained": contained.astype(int),
-                 "vol_drift_ratio": np.full(len(exc), ratio), "dt_M": exc.tM - exc.start,
-                 "d_tau": d_tau, "flagged": flagged.astype(int)},
-        all_contained=bool(contained.all()),
-        fraction_flagged=float(flagged.mean()) if len(exc) else 0.0,
-    )
+    return {"i": np.arange(len(exc)), "contained": contained.astype(int),
+            "vol_drift_ratio": np.full(len(exc), ratio), "dt_M": exc.tM - exc.start,
+            "d_tau": d_tau, "flagged": flagged.astype(int)}
 
 
-def build_ledger(
-    z: SamplePath,
-    price: SamplePath,
-    exc: Excursions,
-    l: float,
-    s: float,
-) -> TradeLedger:
-    """Entry/exit prices read off the price path at tau_i and t_M_i."""
+def build_ledger(z: SamplePath, price: SamplePath,
+                 exc: Excursions) -> tuple[np.ndarray, np.ndarray]:
+    """Entry and exit prices, X(tau_i) and X(t_M_i), read off the price path."""
     if price.kind is not PathKind.PRICE:
         raise ValueError(f"ledger needs a price path, got {price.kind.value}")
     if not price.grid.compatible(z.grid):
         raise ValueError("price and z paths must share a grid")
-    return TradeLedger(excursions=exc, entry_prices=price.values[price.grid.index_of(exc.start)],
-                       exit_prices=price.values[price.grid.index_of(exc.tM)], l=l, s=s)
+    return (price.values[price.grid.index_of(exc.start)],
+            price.values[price.grid.index_of(exc.tM)])
 
 
-def trade_profit(ledger: TradeLedger, literal_indicator: bool = False) -> float:
-    """Portfolio profit over the classified excursions.
+def trade_profit(exc: Excursions, entry_prices, exit_prices, l: float, s: float,
+                 literal_indicator: bool = False) -> float:
+    """Portfolio profit over the classified excursions, with long leverage l
+    and short leverage s.
 
     Default: V = l * sum over below-excursions |entry - exit|
                + s * sum over above-excursions |entry - exit|.
@@ -262,8 +216,16 @@ def trade_profit(ledger: TradeLedger, literal_indicator: bool = False) -> float:
 
     A profit beyond the float range raises ValueError.
     """
-    gaps = np.abs(np.asarray(ledger.entry_prices) - np.asarray(ledger.exit_prices))
-    above = ledger.excursions.above
+    for name, value in (("l", l), ("s", s)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"leverage {name} must be finite and nonnegative, got {value}")
+    entry, exit_ = np.asarray(entry_prices), np.asarray(exit_prices)
+    if len(entry) != len(exc) or len(exit_) != len(exc):
+        raise ValueError("one (entry, exit) price pair per excursion")
+    if np.any(entry <= 0) or np.any(exit_ <= 0):
+        raise ValueError("prices must be positive")
+    gaps = np.abs(entry - exit_)
+    above = exc.above
     below = ~above
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite profit is rejected below
         if literal_indicator:
@@ -271,9 +233,9 @@ def trade_profit(ledger: TradeLedger, literal_indicator: bool = False) -> float:
             sum_above = gaps.sum() if above.any() else 0.0
         else:
             sum_below, sum_above = gaps[below].sum(), gaps[above].sum()
-        profit = float(ledger.l * sum_below + ledger.s * sum_above)
+        profit = float(l * sum_below + s * sum_above)
     if not math.isfinite(profit):
-        raise ValueError(f"leverages l = {ledger.l} and s = {ledger.s} on price gaps up to "
+        raise ValueError(f"leverages l = {l} and s = {s} on price gaps up to "
                          f"{gaps.max()} put the profit outside the float range")
     return profit
 

@@ -133,20 +133,21 @@ def criterion_5() -> CriterionResult:
     checks.append(len(taus) == 3 and all(
         abs(a - b) <= dt + 1e-12 for a, b in zip(taus, (0.0, 0.5, 1.0))))
     stats = trading.sojourn_stats(exc)
-    checks.append(abs(stats.mean_above - 0.5) <= dt and abs(stats.mean_below - 0.5) <= dt)
+    mean_above, mean_below = stats["mean_sojourn_above"], stats["mean_sojourn_below"]
+    checks.append(abs(mean_above - 0.5) <= dt and abs(mean_below - 0.5) <= dt)
     oets = np.sort(exc.tM)
     checks.append(len(oets) == 2 and abs(oets[0] - 0.25) <= dt and abs(oets[1] - 0.75) <= dt)
 
     price = SamplePath(grid=grid, values=100.0 * np.exp(z.values), kind=PathKind.PRICE)
-    ledger = trading.build_ledger(z, price, exc, l=2.0, s=1.5)
-    profit = trading.trade_profit(ledger)
+    entry_prices, exit_prices = trading.build_ledger(z, price, exc)
+    profit = trading.trade_profit(exc, entry_prices, exit_prices, l=2.0, s=1.5)
     brute = 0.0
-    for above, en, ex in zip(exc.above, ledger.entry_prices, ledger.exit_prices):
+    for above, en, ex in zip(exc.above, entry_prices, exit_prices):
         brute += (1.5 if above else 2.0) * abs(en - ex)
     checks.append(profit == brute)
     return _result(5, "sine-path trading fixture", all(checks),
-                   f"taus={np.round(taus, 4).tolist()}, sojourns=({stats.mean_above:.3f}, "
-                   f"{stats.mean_below:.3f}), OETs={np.round(oets, 4).tolist()}, "
+                   f"taus={np.round(taus, 4).tolist()}, sojourns=({mean_above:.3f}, "
+                   f"{mean_below:.3f}), OETs={np.round(oets, 4).tolist()}, "
                    f"profit={profit:.6f} vs brute {brute:.6f}")
 
 

@@ -434,7 +434,11 @@ class TestTrade:
         ):
             assert (out / name).exists(), name
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["n_excursions"] >= 1
+        assert list(summary) == ["n_excursions", "mean_sojourn_above", "mean_sojourn_below",
+                                 "count_above", "count_below", "profit", "all_contained",
+                                 "fraction_flagged"]
+        assert summary["n_excursions"] == 18
+        assert summary["count_above"] + summary["count_below"] == summary["n_excursions"]
         assert summary["profit"] >= 0.0
         assert summary["all_contained"] is True
 

@@ -149,6 +149,12 @@ class TestApplyIemo:
         with pytest.raises(ValueError, match="singular"):
             apply_iemo(z, 0.0, cfg)
 
+    def test_tiny_terminal_value_overflowing_the_drift_scale_is_refused(self):
+        cfg = EmoConfig(beta=2.0, T=1.0, wT=1e-320)
+        z = random_decomposition(1, TimeGrid(T=1.0, dt=0.1))
+        with pytest.raises(ValueError, match="wT = 1e-320"):
+            apply_iemo(z, 0.0, cfg)
+
 
 class TestConstructZGbm:
     def test_starts_at_zero(self):

@@ -32,17 +32,10 @@ def _records():
     grid = logergodic.TimeGrid(T=1.0, dt=0.5)
     two = np.array([0.25, 0.75])
 
-    def excursions():
-        return logergodic.Excursions(start=two, end=two + 0.1, tM=two + 0.05, M=two,
-                                     above=np.array([True, False]))
-
     return {
         "RecurrenceSet": lambda: logergodic.RecurrenceSet(taus=two),
-        "Excursions": excursions,
-        "TradeLedger": lambda: logergodic.TradeLedger(
-            excursions=excursions(), entry_prices=two, exit_prices=two, l=1.0, s=1.0),
-        "BoundReport": lambda: logergodic.BoundReport(
-            columns={"i": np.arange(2)}, all_contained=True, fraction_flagged=0.0),
+        "Excursions": lambda: logergodic.Excursions(
+            start=two, end=two + 0.1, tM=two + 0.05, M=two, above=np.array([True, False])),
         "SamplePath": lambda: logergodic.SamplePath(
             grid=grid, values=np.ones(3), kind=logergodic.PathKind.PRICE),
         "WienerPath": lambda: logergodic.WienerPath(grid=grid, w=np.zeros(3)),

@@ -236,6 +236,11 @@ class TestHeatKernel:
         with pytest.raises(ValueError, match="tau"):
             heat_kernel(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("tau, eta, name", [(math.inf, 1.0, "tau"), (1.0, math.inf, "eta")])
+    def test_infinite_time_or_diffusivity_rejected(self, tau, eta, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            heat_kernel(0.0, tau, eta)
+
 
 def gaussian_problem(eta=0.8, tau=0.4, s=0.5, half_width=12.0, n=1601) -> HeatProblem:
     y = np.linspace(-half_width, half_width, n)
@@ -244,6 +249,13 @@ def gaussian_problem(eta=0.8, tau=0.4, s=0.5, half_width=12.0, n=1601) -> HeatPr
 
 
 class TestHeatSolvers:
+    @pytest.mark.parametrize("name", ["eta", "tau_end"])
+    def test_problem_refuses_an_infinite_constant(self, name):
+        y = np.linspace(-5.0, 5.0, 11)
+        kwargs = {"eta": 1.0, "tau_end": 0.5, name: math.inf}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            HeatProblem(grid_y=y, initial=np.zeros_like(y), **kwargs)
+
     def test_convolution_gaussian_semigroup(self):
         hp = gaussian_problem()
         var = 0.5**2 + hp.eta * hp.tau_end
@@ -359,6 +371,16 @@ class TestPriceViaPde:
             errs.append(abs(price_via_pde(inp).price - closed))
         assert errs[0] / errs[1] >= 2.0
         assert errs[1] / errs[2] >= 2.0
+
+    @pytest.mark.parametrize("tau", [1e-5, 1e-6, 1e-300])
+    def test_kernel_narrower_than_the_grid_step_is_refused(self, tau):
+        # at tau = 1e-5 the quadrature gave -3.263 against the closed form's -2.804
+        with pytest.raises(ValueError, match=f"tau = {tau} is too short .* at X = 100.0"):
+            price_via_pde(base_inputs(tau=tau))
+
+    def test_kernel_just_wider_than_the_grid_step_still_prices(self):
+        inp = base_inputs(tau=1e-4)
+        assert price_via_pde(inp).price == pytest.approx(price_ergodic_bs(inp).price, rel=1e-8)
 
     def test_zero_payoff_neighborhood_prices_near_zero(self):
         k = 1.1

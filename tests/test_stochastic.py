@@ -42,6 +42,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(**kwargs)
 
+    @pytest.mark.parametrize("T, dt", [(1e10, 1e-300), (1e300, 1e-10)])
+    def test_step_count_beyond_float_range_rejected(self, T, dt):
+        with pytest.raises(ValueError, match=re.escape(f"T = {T} over dt = {dt}")):
+            TimeGrid(T=T, dt=dt)
+
     def test_index_of_nearest(self):
         grid = TimeGrid(T=1.0, dt=0.25)
         assert grid.index_of(0.0) == 0

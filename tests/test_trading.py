@@ -12,7 +12,6 @@ from logergodic import (
     RecurrenceSet,
     SamplePath,
     TimeGrid,
-    TradeLedger,
     build_excursions,
     build_ledger,
     construct_z_gbm,
@@ -158,14 +157,16 @@ class TestExcursions:
     def test_sojourn_stats_sine(self):
         z = sine_fixture()
         stats = sojourn_stats(build_excursions(z, detect_recurrences(z)))
-        assert stats.mean_above == pytest.approx(0.5, abs=2e-3)
-        assert stats.mean_below == pytest.approx(0.5, abs=2e-3)
-        assert stats.count_above == stats.count_below == 1
+        assert list(stats) == ["mean_sojourn_above", "mean_sojourn_below", "count_above",
+                               "count_below"]
+        assert stats["mean_sojourn_above"] == pytest.approx(0.5, abs=2e-3)
+        assert stats["mean_sojourn_below"] == pytest.approx(0.5, abs=2e-3)
+        assert stats["count_above"] == stats["count_below"] == 1
 
     def test_sojourn_stats_empty(self):
         stats = sojourn_stats(make_excursions([]))
-        assert stats.count_above == stats.count_below == 0
-        assert math.isnan(stats.mean_above) and math.isnan(stats.mean_below)
+        assert stats["count_above"] == stats["count_below"] == 0
+        assert math.isnan(stats["mean_sojourn_above"]) and math.isnan(stats["mean_sojourn_below"])
 
 
 class TestOetBoundReport:
@@ -173,22 +174,23 @@ class TestOetBoundReport:
         z = sine_fixture()
         exc = build_excursions(z, detect_recurrences(z))
         report = oet_bound_report(exc, q=0.08, sigma=0.2)
-        assert report.all_contained
-        assert np.all(report.columns["dt_M"] < report.columns["d_tau"])
+        assert list(report) == ["i", "contained", "vol_drift_ratio", "dt_M", "d_tau", "flagged"]
+        assert np.all(report["contained"] == 1)
+        assert np.all(report["dt_M"] < report["d_tau"])
 
     def test_zero_drift_ratio_is_undefined_marker(self):
         z = sine_fixture()
         exc = build_excursions(z, detect_recurrences(z))
         report = oet_bound_report(exc, q=0.0, sigma=0.2)
-        assert np.all(np.isnan(report.columns["vol_drift_ratio"]))
-        assert not np.any(report.columns["flagged"])
+        assert np.all(np.isnan(report["vol_drift_ratio"]))
+        assert not np.any(report["flagged"])
 
     def test_flagging_is_descriptive_not_asserted(self):
         z = sine_fixture()
         exc = build_excursions(z, detect_recurrences(z))
         report = oet_bound_report(exc, q=1e-6, sigma=0.2)  # huge ratio
-        assert report.fraction_flagged == 1.0
-        assert report.all_contained
+        assert np.all(report["flagged"] == 1)
+        assert np.all(report["contained"] == 1)
 
 
 def make_excursions(above) -> Excursions:
@@ -198,53 +200,57 @@ def make_excursions(above) -> Excursions:
                       above=np.array(above, dtype=bool))
 
 
-def make_ledger(above, entries, exits, l=1.0, s=1.0) -> TradeLedger:
-    return TradeLedger(
-        excursions=make_excursions(above),
-        entry_prices=np.asarray(entries, dtype=float),
-        exit_prices=np.asarray(exits, dtype=float),
-        l=l,
-        s=s,
-    )
+def profit_of(above, entries, exits, l=1.0, s=1.0, literal_indicator=False) -> float:
+    """trade_profit over unit excursions on the given sides at these prices."""
+    return trade_profit(make_excursions(above), np.asarray(entries, dtype=float),
+                        np.asarray(exits, dtype=float), l, s,
+                        literal_indicator=literal_indicator)
 
 
 class TestTradeProfit:
     def test_empty_ledger_is_zero(self):
-        assert trade_profit(make_ledger([], [], [])) == 0.0
+        assert profit_of([], [], []) == 0.0
 
     def test_single_below_excursion(self):
-        ledger = make_ledger([False], [100.0], [110.0], l=2.0, s=1.0)
-        assert trade_profit(ledger) == pytest.approx(20.0)
+        assert profit_of([False], [100.0], [110.0], l=2.0, s=1.0) == pytest.approx(20.0)
 
     def test_mixed_ledger_matches_brute_force(self):
         above = [False, True, False, True]
         entries = [100.0, 105.0, 95.0, 102.0]
         exits = [110.0, 98.0, 99.0, 108.0]
         l, s = 2.0, 1.5
-        ledger = make_ledger(above, entries, exits, l=l, s=s)
         brute = sum(
             (s if side else l) * abs(en - ex)
             for side, en, ex in zip(above, entries, exits)
         )
-        assert trade_profit(ledger) == pytest.approx(brute, rel=1e-15)
+        assert profit_of(above, entries, exits, l=l, s=s) == pytest.approx(brute, rel=1e-15)
 
     def test_literal_indicator_double_counts_both_classes(self):
-        ledger = make_ledger([False, True], [100.0, 100.0], [110.0, 90.0], l=2.0, s=3.0)
         total_gap = 20.0
-        assert trade_profit(ledger, literal_indicator=True) == pytest.approx(
-            (2.0 + 3.0) * total_gap
-        )
+        assert profit_of([False, True], [100.0, 100.0], [110.0, 90.0], l=2.0, s=3.0,
+                         literal_indicator=True) == pytest.approx((2.0 + 3.0) * total_gap)
 
     def test_negative_leverage_rejected(self):
         with pytest.raises(ValueError, match="leverage"):
-            make_ledger([False], [100.0], [110.0], l=-1.0)
+            profit_of([False], [100.0], [110.0], l=-1.0)
 
     @pytest.mark.parametrize("name", ["l", "s"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_leverage_rejected(self, name, value):
-        # an empty ledger too: inf * 0 would make its profit nan
+        # no excursions too: inf * 0 would make the profit nan
         with pytest.raises(ValueError, match=f"leverage {name}"):
-            make_ledger([], [], [], **{name: value})
+            profit_of([], [], [], **{name: value})
+
+    @pytest.mark.parametrize("entries, exits", [([100.0], [110.0, 120.0]),
+                                                ([100.0, 110.0], [120.0])])
+    def test_one_price_pair_per_excursion(self, entries, exits):
+        with pytest.raises(ValueError, match="one \\(entry, exit\\) price pair per excursion"):
+            profit_of([False], entries, exits)
+
+    @pytest.mark.parametrize("entries, exits", [([0.0], [110.0]), ([100.0], [-1.0])])
+    def test_prices_must_be_positive(self, entries, exits):
+        with pytest.raises(ValueError, match="prices must be positive"):
+            profit_of([False], entries, exits)
 
     @pytest.mark.parametrize("literal_indicator", [False, True])
     @pytest.mark.parametrize(
@@ -253,9 +259,9 @@ class TestTradeProfit:
         ids=["leverage_times_gap", "sum_of_gaps"],
     )
     def test_profit_beyond_float_range_rejected(self, entries, exits, l, literal_indicator):
-        ledger = make_ledger([False] * len(entries), entries, exits, l=l)
         with pytest.raises(ValueError, match="put the profit outside the float range"):
-            trade_profit(ledger, literal_indicator=literal_indicator)
+            profit_of([False] * len(entries), entries, exits, l=l,
+                      literal_indicator=literal_indicator)
 
     @given(
         scale=st.floats(0.0, 10.0),
@@ -267,11 +273,11 @@ class TestTradeProfit:
         signs = [False, True, False]
         entries = [100.0, 105.0, 95.0]
         exits = [103.0, 99.0, 95.5]
-        base_l = trade_profit(make_ledger(signs, entries, exits, l=1.0, s=s))
-        base_0 = trade_profit(make_ledger(signs, entries, exits, l=0.0, s=s))
-        scaled = trade_profit(make_ledger(signs, entries, exits, l=scale, s=s))
+        base_l = profit_of(signs, entries, exits, l=1.0, s=s)
+        base_0 = profit_of(signs, entries, exits, l=0.0, s=s)
+        scaled = profit_of(signs, entries, exits, l=scale, s=s)
         assert scaled == pytest.approx(base_0 + scale * (base_l - base_0), abs=1e-9)
-        assert trade_profit(make_ledger(signs, entries, exits, l=l, s=s)) >= 0.0
+        assert profit_of(signs, entries, exits, l=l, s=s) >= 0.0
 
     def test_ledger_built_from_paths(self):
         z = sine_fixture()
@@ -280,12 +286,13 @@ class TestTradeProfit:
             grid=grid, values=100.0 * np.exp(z.values), kind=PathKind.PRICE
         )
         exc = build_excursions(z, detect_recurrences(z))
-        ledger = build_ledger(z, price, exc, l=2.0, s=1.5)
+        entry_prices, exit_prices = build_ledger(z, price, exc)
         pv = price.values
         expected = 2.0 * abs(pv[grid.index_of(0.5)] - pv[grid.index_of(0.75)]) + 1.5 * abs(
             pv[grid.index_of(0.0)] - pv[grid.index_of(0.25)]
         )
-        assert trade_profit(ledger) == pytest.approx(expected, rel=1e-12)
+        assert trade_profit(exc, entry_prices, exit_prices, l=2.0, s=1.5) == pytest.approx(
+            expected, rel=1e-12)
 
 
 class TestGenerateSignals:
@@ -398,16 +405,17 @@ class TestVectorisedTradingMatchesOracles:
         price = SamplePath(grid=grid, values=100.0 * np.exp(
             simulate_wiener(grid, seed).w), kind=PathKind.PRICE)
         exc = build_excursions(z, detect_recurrences(z))
-        ledger = build_ledger(z, price, exc, l=1.0, s=1.0)
+        entry_prices, exit_prices = build_ledger(z, price, exc)
         pv = price.values
         np.testing.assert_array_equal(
-            ledger.entry_prices, [pv[grid.index_of(t)] for t in exc.start.tolist()])
+            entry_prices, [pv[grid.index_of(t)] for t in exc.start.tolist()])
         np.testing.assert_array_equal(
-            ledger.exit_prices, [pv[grid.index_of(t)] for t in exc.tM.tolist()])
+            exit_prices, [pv[grid.index_of(t)] for t in exc.tM.tolist()])
 
     def test_empty_ledger(self):
         z = sine_fixture()
         price = SamplePath(grid=z.grid, values=np.ones(z.grid.n + 1), kind=PathKind.PRICE)
-        ledger = build_ledger(z, price, make_excursions([]), l=1.0, s=1.0)
-        assert ledger.entry_prices.shape == ledger.exit_prices.shape == (0,)
-        assert trade_profit(ledger) == 0.0
+        exc = make_excursions([])
+        entry_prices, exit_prices = build_ledger(z, price, exc)
+        assert entry_prices.shape == exit_prices.shape == (0,)
+        assert trade_profit(exc, entry_prices, exit_prices, l=1.0, s=1.0) == 0.0
