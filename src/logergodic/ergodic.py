@@ -123,17 +123,18 @@ def construct_z_gbm(params: GbmParams, wiener: WienerPath, beta: float) -> Sampl
 def ergodicity_diagnostic(
     ensemble: Sequence[SamplePath], horizons: Sequence[float]
 ) -> np.ndarray:
-    """Windowed covariance average used to judge mean ergodicity, one value per horizon.
+    """Windowed average of the ensemble variance, one value per horizon.
 
-    The lag covariance Cov(tau) is estimated as the ensemble variance of the
-    path values at lag tau (values centered at the ensemble mean per lag).
-    For each horizon T' the curve value is
+    V(tau) is the ensemble variance of the path values at time tau (values
+    centered at the ensemble mean at that time); it is not an autocovariance
+    at lag tau.  For each horizon T' the curve value is
 
-        (1 / T') * integral_0^T' (1 - tau/T') Cov(tau) dtau
+        (1 / T') * integral_0^T' (1 - tau/T') V(tau) dtau
 
-    by trapezoidal quadrature.  A process whose curve tends to 0 with
-    growing horizon behaves mean-ergodically at the sampled scale.  The
-    horizons must strictly increase and lie within the ensemble grid.
+    by trapezoidal quadrature.  It scales with the square of the paths, so it
+    is small for paths of small scale, such as Z with its factor 1 / T^beta,
+    whether or not their time averages concentrate.  The horizons must
+    strictly increase and lie within the ensemble grid.
     """
     if len(ensemble) < 2:
         raise ValueError("ensemble must contain at least 2 paths")

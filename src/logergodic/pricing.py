@@ -265,6 +265,7 @@ def heat_kernel(y, tau: float, eta: float):
 
 
 def _require_grid_width(hp: HeatProblem) -> None:
+    """The grid spans the kernel's mass and its step resolves the kernel."""
     std = math.sqrt(hp.tau_end * hp.eta)
     span = float(hp.grid_y[-1] - hp.grid_y[0])
     required = 2.0 * _KERNEL_WIDTH_STD * std
@@ -273,6 +274,9 @@ def _require_grid_width(hp: HeatProblem) -> None:
             f"y grid span {span:.6g} too narrow: kernel mass truncation exceeds "
             f"{_MASS_TOL}; need span >= {required:.6g}"
         )
+    if hp.dy > std:  # a kernel narrower than the grid step makes the quadrature wrong
+        raise ValueError(f"tau_end = {hp.tau_end} is too short for the heat grid: "
+                         f"kernel std {std:.3g} is below the grid step {hp.dy:.3g}")
 
 
 def _convolve(hp: HeatProblem, points: np.ndarray) -> np.ndarray:

@@ -8,8 +8,10 @@ ratio conjugate) whose equidistribution behavior is well understood.
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Callable, Sequence
+from itertools import zip_longest
+from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +31,7 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
-_PERIODICITY_TOL = 1e-12
-_ORBIT_CHUNK = 1 << 18
-_MAX_ORBIT_STEPS = 1_000_000_000
+_MAX_ORBIT_STEPS = 1_000_000_000  # a domain limit on orbit lengths; work grows as their log
 
 
 class TrigPolynomial:
@@ -45,41 +45,28 @@ class TrigPolynomial:
         self.cos_coeffs = tuple(float(c) for c in cos_coeffs)
         self.sin_coeffs = tuple(float(c) for c in sin_coeffs)
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, self.c0)
-        for m, c in enumerate(self.cos_coeffs, start=1):
-            out = out + c * np.cos(2 * np.pi * m * x)
-        for m, c in enumerate(self.sin_coeffs, start=1):
-            out = out + c * np.sin(2 * np.pi * m * x)
-        return out
-
     @property
     def integral(self) -> float:
         return self.c0
 
 
-def _check_periodic(phi: Callable) -> None:
-    p0 = float(np.asarray(phi(0.0)))
-    p1 = float(np.asarray(phi(1.0)))
-    if abs(p0 - p1) > _PERIODICITY_TOL:
-        raise ValueError(f"test function is not periodic: phi(0)={p0}, phi(1)={p1}")
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{k<n} floor((a k + b) / m) for integers n >= 0 and m >= 1, in O(log m) steps:
+    past the whole parts of a / m and b / m, it counts lattice points under a line,
+    which is the same sum with a and m swapped, as in Euclid's algorithm."""
+    total = 0
+    while True:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        n, b = divmod(a * n + b, m)
+        if n == 0:
+            return total
+        m, a = a, m
 
 
-def _orbit_chunk(x: float, theta: float, start: int, stop: int) -> np.ndarray:
-    # k*theta computed from the reduced angle so the product stays small and
-    # the mod-1 reduction keeps ~1e-11 accuracy out to k = 1e6
-    theta_red = theta % 1.0
-    k = np.arange(start, stop, dtype=float)
-    out = (x + k * theta_red) % 1.0
-    out[out >= 1.0] = 0.0  # float modulo can round up to exactly 1.0
-    return out
-
-
-def _orbit_chunks(x: float, theta: float, n: int):
-    """The first n orbit points as (index of the first, points) pairs, in
-    chunks of at most _ORBIT_CHUNK points: the one scan over an orbit, which
-    checks x, theta and 1 <= n <= _MAX_ORBIT_STEPS before its first step."""
+def _exact_orbit(x: float, theta: float, n: int, *ends: float) -> tuple[int, ...]:
+    """(D, x D, theta D, *ends D) in exact integers, D the largest power-of-two denominator
+    of these doubles; x, theta and 1 <= n <= _MAX_ORBIT_STEPS are checked first."""
     if not (0.0 <= x < 1.0):
         raise ValueError(f"circle point x0 must lie in [0, 1), got {x}")
     if not math.isfinite(theta):
@@ -88,40 +75,53 @@ def _orbit_chunks(x: float, theta: float, n: int):
         raise ValueError(f"n must be >= 1, got {n}")
     if n > _MAX_ORBIT_STEPS:
         raise ValueError(f"a scan of {n} orbit steps is more than {_MAX_ORBIT_STEPS}")
-    for start in range(0, n, _ORBIT_CHUNK):
-        yield start, _orbit_chunk(x, theta, start, min(start + _ORBIT_CHUNK, n))
+    ratios = [float(v).as_integer_ratio() for v in (x, theta, *ends)]
+    d = max(q for _, q in ratios)
+    return (d, *(p * (d // q) for p, q in ratios))
 
 
-def birkhoff_average(phi: Callable, x: float, theta: float, n: int) -> float:
-    """Orbit average (1/n) sum_{k<n} phi((x + k theta) mod 1).
+def _hits(n: int, d: int, x: int, theta: int, a: int, b: int) -> int:
+    """Number of k < n with {x + k theta} in [a, b), all over d: as 1[{u} < c] =
+    floor(u) - floor(u - c) for c in [0, 1], the count is F(a) - F(b), where
+    F(c) = sum_{k<n} floor(x + k theta - c) is a floor sum."""
+    return _floor_sum(n, d, theta, x - a) - _floor_sum(n, d, theta, x - b)
 
-    phi must wrap (phi(0) = phi(1)); for irrational theta the average
-    converges to the integral of phi over [0, 1].
-    """
-    _check_periodic(phi)
-    total = 0.0
-    for _, pts in _orbit_chunks(x, theta, n):
-        total += float(np.sum(phi(pts)))
-    return total / n
+
+def birkhoff_average(phi: TrigPolynomial, x: float, theta: float, n: int) -> float:
+    """Orbit average (1/n) sum_{k<n} phi((x + k theta) mod 1) of a trigonometric polynomial;
+    for irrational theta it converges to the integral of phi over [0, 1]."""
+    d, x_num, theta_num = _exact_orbit(x, theta, n)
+
+    def angle(k: int) -> float:  # pi k / d, with k / d reduced mod 2 to [-1, 1) exactly
+        return math.pi * (((k + d) % (2 * d) - d) / d)
+    total = phi.c0
+    modes = zip_longest(phi.cos_coeffs, phi.sin_coeffs, fillvalue=0.0)
+    for m, (c, s) in enumerate(modes, start=1):
+        t = (m * theta_num + d // 2) % d - d // 2  # m theta mod 1 in [-1/2, 1/2), over d
+        # a geometric series: sum_{k<n} e^{2 pi i (m x + k t)}
+        #   = e^{i pi (2 m x + (n-1) t)} sin(pi n t) / sin(pi t)
+        if abs(t / d) < 1e-150:  # all terms equal to double precision; sin(pi t) could underflow
+            r = 1.0
+        else:
+            r = math.sin(angle(n * t)) / (n * math.sin(angle(t)))
+        phase = angle(2 * m * x_num + (n - 1) * t)
+        total += r * (c * math.cos(phase) + s * math.sin(phase))
+    return total
 
 
 def equidistribution_test(theta: float, a: float, b: float, x0: float, n: int) -> float:
     """Fraction of the first n orbit points landing in [a, b)."""
     if not (0.0 <= a < b <= 1.0):
         raise ValueError(f"interval needs 0 <= a < b <= 1, got a={a}, b={b}")
-    hits = sum(int(np.count_nonzero((pts >= a) & (pts < b)))
-               for _, pts in _orbit_chunks(x0, theta, n))
-    return hits / n
+    return _hits(n, *_exact_orbit(x0, theta, n, a, b)) / n
 
 
-def kac_return_time(
-    theta: float, arc: tuple[float, float], x0: float, n_returns: int
-) -> float:
+def kac_return_time(theta: float, arc: tuple[float, float], x0: float, n_returns: int) -> float:
     """Mean number of steps between successive visits to the arc [a, b).
 
     For an ergodic rotation the expected return time is 1 / (b - a).  The
-    scan takes at most ceil(4 * n_returns / (b - a)) orbit steps; an angle
-    that needs more, such as one too close to a rational, raises ValueError.
+    returns are sought in at most ceil(4 * n_returns / (b - a)) orbit steps; an
+    angle that needs more, such as one too close to a rational, raises ValueError.
     """
     a, b = arc
     if not (0.0 <= a < b <= 1.0):
@@ -130,17 +130,17 @@ def kac_return_time(
         raise ValueError(f"start point {x0} must lie in the arc {arc}")
     if n_returns < 1:
         raise ValueError(f"n_returns must be >= 1, got {n_returns}")
-
-    budget = math.ceil(4 * n_returns / (b - a))
-    n_hits = 0
-    # x0 lies in the arc, so k = 0 is hit 0 and n_returns gaps end at hit n_returns
-    for start, pts in _orbit_chunks(x0, theta, budget):
-        hits = np.flatnonzero((pts >= a) & (pts < b))
-        if n_hits + hits.size > n_returns:
-            return float(hits[n_returns - n_hits] + start) / n_returns
-        n_hits += hits.size
-    raise ValueError(f"theta {theta} returned to the arc {arc} fewer than {n_returns} "
-                     f"times in {budget} orbit steps; it may be too close to a rational")
+    # the budget in exact integers: as a float, the quotient overflows for a subnormal arc
+    (pa, qa), (pb, qb) = float(a).as_integer_ratio(), float(b).as_integer_ratio()
+    budget = -(-4 * n_returns * qa * qb // (pb * qa - pa * qb))
+    orbit = _exact_orbit(x0, theta, budget, a, b)
+    # x0 lies in the arc, so k = 0 is hit 0 and n_returns gaps end at hit
+    # n_returns: the least N whose first N steps hold n_returns + 1 hits is one past it
+    first = bisect.bisect_left(range(budget + 1), n_returns + 1, key=lambda n: _hits(n, *orbit))
+    if first > budget:
+        raise ValueError(f"theta {theta} returned to the arc {arc} fewer than {n_returns} "
+                         f"times in {budget} orbit steps; it may be too close to a rational")
+    return (first - 1) / n_returns
 
 
 def theta_process(

@@ -104,7 +104,8 @@ def criterion_3() -> CriterionResult:
 
 
 def criterion_4() -> CriterionResult:
-    """Ergodicity diagnostic small for Z at horizon 100 and below the raw-Y diagnostic."""
+    """Windowed ensemble variance (``ergodicity_diagnostic``) of Z at horizon 100 small
+    and below that of Y = ln S; Z's factor 1 / T^beta = 1e-4 scales it by 1e-8."""
     params = GbmParams(mu=0.1, sigma=0.2, s0=100.0)
     grid = TimeGrid(T=100.0, dt=0.1)
     n_paths = 1000

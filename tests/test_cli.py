@@ -122,6 +122,8 @@ def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, co
         (["rotate", "--n", "0"], "n must be >= 1"),
         (["rotate", "--intervals", "0.5:0.2"], "interval"),
         (["rotate", "--arcs", "0"], "arc"),
+        # as a float, the return-time budget 4000 / 5e-324 overflows
+        (["rotate", "--n", "1000", "--arcs", "5e-324"], "orbit steps is more than 1000000000"),
         (["rotate", "--theta", "0", "--n", "1000"], "theta 0.0 is within 4 eps of 0/1"),
         (["rotate", "--theta", "1", "--n", "1000"], "theta 1.0 is within 4 eps of 0/1"),
         (["rotate", "--theta", "0.5", "--n", "1000"], "theta 0.5 is within 4 eps of 1/2"),
@@ -149,7 +151,7 @@ def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, co
         (["trade", "--dt", "0.01", "--mu", "-1", "--s0", "1e300", "--short-leverage", "1e300"],
          "l = 1.0 and s = 1e+300 on price gaps up to"),
     ],
-    ids=["x0", "n", "intervals", "arcs", "rational_theta_0", "rational_theta_1",
+    ids=["x0", "n", "intervals", "arcs", "subnormal_arc", "rational_theta_0", "rational_theta_1",
          "rational_theta_half", "beta", "negative_leverage", "nan_eps",
          "nan_leverage", "inf_beta", "negative_seed_simulate", "negative_seed_rotate",
          "bad_taus", "overflowing_path", "underflowing_path", "huge_grid_simulate",
@@ -575,10 +577,10 @@ class TestRotate:
         assert _rational_neighbour(theta, n) == convergent
 
     def test_orbit_over_cap_is_usage_error_before_scanning(self, runner, tmp_path, monkeypatch):
-        def no_scan(*args):
-            raise AssertionError("orbit scanned")
+        def no_count(*args):
+            raise AssertionError("orbit counted")
 
-        monkeypatch.setattr(rotation, "_orbit_chunk", no_scan)
+        monkeypatch.setattr(rotation, "_floor_sum", no_count)
         out = tmp_path / "long"
         result = runner.invoke(main, ["--out", str(out), "rotate", "--n", "100000000000"])
         assert result.exit_code == 2, result.output

@@ -284,6 +284,14 @@ class TestHeatSolvers:
         with pytest.raises(ValueError, match="need span"):
             solve_heat_convolution(hp)
 
+    def test_convolution_refuses_kernel_narrower_than_the_grid_step(self):
+        # std 1e-4 against a step of 0.01: the quadrature returned 39.9 times the data at the peak
+        y = np.linspace(-5.0, 5.0, 1001)
+        hp = HeatProblem(eta=1.0, grid_y=y, initial=np.exp(-(y**2) / 2), tau_end=1e-8)
+        with pytest.raises(ValueError, match="tau_end = 1e-08 is too short for the heat grid: "
+                                             "kernel std 0.0001 is below the grid step 0.01"):
+            solve_heat_convolution(hp)
+
     def test_fd_gaussian_semigroup(self):
         hp = gaussian_problem()
         var = 0.5**2 + hp.eta * hp.tau_end

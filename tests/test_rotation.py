@@ -1,5 +1,7 @@
 import math
+import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,34 @@ from logergodic import (
 from logergodic import rotation
 
 
+def fraction_orbit(x, theta, n):
+    """The first n points {x + k theta} of the orbit of the doubles x and theta, in exact
+    rational arithmetic."""
+    x, theta = Fraction(x), Fraction(theta)
+    return [(x + k * theta) % 1 for k in range(n)]
+
+
+def exact_mean_return(theta, arc, n_returns):
+    """Mean gap between the first n_returns + 1 visits of the exact orbit of a to [a, b),
+    all within ceil(4 n_returns / (b - a)) steps; visit 0 is step 0."""
+    a, b = map(Fraction, arc)
+    budget = math.ceil(4 * n_returns / (b - a))
+    hits = [k for k, p in enumerate(fraction_orbit(arc[0], theta, budget)) if a <= p < b]
+    return hits[n_returns] / n_returns
+
+
+def exact_birkhoff(phi, x, theta, n):
+    """(1/n) sum_{k<n} phi(x + k theta), each angle 2 pi m p taken from the exact point p."""
+    total = 0.0
+    for p in fraction_orbit(x, theta, n):
+        total += phi.c0
+        total += sum(c * math.cos(2 * math.pi * float(m * p % 1))
+                     for m, c in enumerate(phi.cos_coeffs, start=1))
+        total += sum(c * math.sin(2 * math.pi * float(m * p % 1))
+                     for m, c in enumerate(phi.sin_coeffs, start=1))
+    return total / n
+
+
 class TestBirkhoffAverage:
     def test_constant_function(self):
         avg = birkhoff_average(TrigPolynomial(c0=0.37), x=0.0, theta=SQRT2, n=10_000)
@@ -35,9 +65,12 @@ class TestBirkhoffAverage:
         assert avg == pytest.approx(0.37, abs=1e-3)
         assert phi.integral == 0.37
 
-    def test_non_periodic_function_rejected(self):
-        with pytest.raises(ValueError, match="periodic"):
-            birkhoff_average(lambda x: x, x=0.0, theta=SQRT2, n=100)
+    # 2 * 0.5 is an integer; next to an integer, sin(pi m theta) is tiny or subnormal
+    @pytest.mark.parametrize("theta", [0.5, 5e-324, -5e-324, 1e-20, 1 - 2**-53, 0.5 + 2**-50])
+    def test_near_rational_angle_matches_exact_orbit(self, theta):
+        phi = TrigPolynomial(c0=0.3, cos_coeffs=(1.0, 0.2), sin_coeffs=(0.5,))
+        assert birkhoff_average(phi, x=0.1, theta=theta, n=1000) == pytest.approx(
+            exact_birkhoff(phi, 0.1, theta, 1000), abs=1e-12)
 
 
 class TestEquidistribution:
@@ -52,9 +85,33 @@ class TestEquidistribution:
         # orbit {0, 0.5} never enters [0.1, 0.4): irrationality matters
         assert equidistribution_test(0.5, 0.1, 0.4, x0=0.0, n=1000) == 0.0
 
+    def test_count_at_a_billion_points_is_immediate(self):
+        start = time.perf_counter()
+        freq = equidistribution_test(SQRT2, 0.2, 0.5, x0=0.0, n=10**9)
+        assert time.perf_counter() - start < 1.0
+        assert freq == pytest.approx(0.3, abs=1e-6)
+
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             equidistribution_test(SQRT2, 0.5, 0.5, x0=0.0, n=100)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_matches_exact_orbit_on_random_angles(seed):
+    rng = random.Random(seed)
+    for theta in (rng.uniform(-3.0, 0.0), rng.uniform(0.0, 1.0), rng.uniform(1.0, 50.0)):
+        x0, n = rng.random(), rng.randrange(1, 300)
+        a = rng.uniform(0.0, 0.9)
+        b = rng.uniform(a + 0.1, 1.0)
+        hits = sum(Fraction(a) <= p < Fraction(b) for p in fraction_orbit(x0, theta, n))
+        assert equidistribution_test(theta, a, b, x0=x0, n=n) == hits / n
+        n_returns = rng.randrange(1, 30)
+        assert kac_return_time(theta, (a, b), x0=a, n_returns=n_returns) == exact_mean_return(
+            theta, (a, b), n_returns)
+        phi = TrigPolynomial(c0=rng.uniform(-1, 1), cos_coeffs=(rng.uniform(-1, 1), 0.5),
+                             sin_coeffs=(rng.uniform(-1, 1), 0.0, -0.7))
+        assert birkhoff_average(phi, x=x0, theta=theta, n=n) == pytest.approx(
+            exact_birkhoff(phi, x0, theta, n), abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -63,7 +120,7 @@ class TestEquidistribution:
     [
         lambda theta: birkhoff_average(TrigPolynomial(c0=1.0), x=0.0, theta=theta, n=10),
         lambda theta: equidistribution_test(theta, 0.0, 0.5, x0=0.0, n=10),
-        # unchecked, a nan angle never returns and the scan runs out its step budget
+        # unchecked, the angle's exact ratio fails: ValueError for nan, OverflowError for inf
         lambda theta: kac_return_time(theta, (0.0, 1.0), x0=0.0, n_returns=1),
     ],
     ids=["birkhoff_average", "equidistribution_test", "kac_return_time"],
@@ -97,24 +154,31 @@ class TestKacReturnTime:
             (0.3, (0.0, 0.1), 100),
             (1 / 3, (0.0, 0.5), 100),
             (1 / 3, (0.2, 0.7), 100),
-            # the hits run past the first chunk of the scan
-            (GOLDEN_CONJUGATE, (0.0, 0.25), 100_000),
         ],
     )
     def test_matches_brute_force_hit_gaps(self, theta, arc, n_returns):
-        a, b = arc
-        pts = (a + np.arange(math.ceil(4 * n_returns / (b - a))) * (theta % 1.0)) % 1.0
-        hits = np.flatnonzero((pts >= a) & (pts < b))
-        if n_returns == 100_000:
-            assert hits[n_returns] > rotation._ORBIT_CHUNK
-        expected = float(np.mean(np.diff(hits)[:n_returns]))
-        assert kac_return_time(theta, arc, x0=a, n_returns=n_returns) == expected
+        # the exact orbit of the double: a float scan rounds points onto the arc ends
+        # and gives 5.5 for 0.3 on [0, 0.1), where the exact orbit gives 9.97
+        expected = exact_mean_return(theta, arc, n_returns)
+        assert kac_return_time(theta, arc, x0=arc[0], n_returns=n_returns) == expected
+
+    @pytest.mark.parametrize("theta", [SQRT2, GOLDEN_CONJUGATE])
+    def test_matches_float_scan_on_fixture_angles(self, theta):
+        # on these angles no float orbit point of the first 10^6 rounds across an end
+        pts = (np.arange(10**6) * (theta % 1.0)) % 1.0
+        for a, b in ((0.0, 0.5), (0.2, 0.5), (0.0, 0.1)):
+            hits = np.flatnonzero((pts >= a) & (pts < b))
+            assert equidistribution_test(theta, a, b, x0=0.0, n=10**6) == hits.size / 10**6
+        for p in (0.5, 0.25, 0.1):
+            hits = np.flatnonzero(pts < p)
+            mean = kac_return_time(theta, (0.0, p), x0=0.0, n_returns=10_000)
+            assert mean == hits[10_000] / 10_000
 
     def test_budget_over_cap_rejected_before_scanning(self, monkeypatch):
-        def no_scan(*args):
-            raise AssertionError("orbit scanned")
+        def no_count(*args):
+            raise AssertionError("orbit counted")
 
-        monkeypatch.setattr(rotation, "_orbit_chunk", no_scan)
+        monkeypatch.setattr(rotation, "_floor_sum", no_count)
         with pytest.raises(ValueError, match="orbit steps"):
             kac_return_time(SQRT2, (0.0, 1e-4), x0=0.0, n_returns=100_000)
 
