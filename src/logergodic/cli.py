@@ -102,20 +102,15 @@ def _json(obj, sort_keys: bool = False):
     return write
 
 
-def _rows(columns):
-    """The rows of the columns; an array column becomes a list only here."""
-    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-
-
 def _table(stem: str, columns: dict, fmt: str) -> dict:
     """A table file from named columns: a CSV, whose header stays when there
     are no rows and whose rows are built only when it is written, or a JSON
     list of rows."""
     if fmt == "json":
-        rows = [dict(zip(columns, row)) for row in _rows(columns.values())]
+        rows = [dict(zip(columns, row)) for row in stochastic._rows(columns.values())]
         return {f"{stem}.json": _json(rows)}
     header = list(columns)
-    return {f"{stem}.csv": lambda fh: stochastic._write_csv(fh, header, _rows(columns.values()))}
+    return {f"{stem}.csv": lambda fh: stochastic._write_csv(fh, header, columns.values())}
 
 
 def _emit(ctx, command: str, resolved: dict, files: dict) -> Path:
@@ -255,7 +250,7 @@ def trade(ctx, input_path, literal_indicator, **flags):
 
     if input_path:
         try:
-            with open(input_path) as fh:
+            with open(input_path, encoding="utf-8-sig") as fh:  # drops a leading BOM
                 price = stochastic.read_path_csv(fh)
         except ValueError as e:
             raise click.UsageError(f"bad --input {input_path}: {e}")

@@ -9,7 +9,9 @@ depend on evaluation order.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO
@@ -198,19 +200,76 @@ def path_header(path: SamplePath, seed: int | None = None, params: dict | None =
     }
 
 
-def _write_csv(fh: IO[str], header: list[str], rows) -> None:
-    """Write one CSV table, its header first, to an open text file."""
+_CHUNK_ROWS = 4096  # rows formatted per write; bounds the strings held at once
+
+
+def _rows(columns):
+    """The rows of the columns; an array column becomes a list only here."""
+    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+
+
+def _write_lines(fh: IO[str], fields) -> None:
+    """Write one CSV line per row of the field-string columns `fields` (non-empty)."""
+    fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
+def _write_csv(fh: IO[str], header: list[str], columns) -> None:
+    """Write one CSV table, its header first, from its columns to an open text file.
+
+    The bytes are those of `csv.writer`: CRLF line ends, floats as `repr`,
+    ints in decimal, other fields quoted as QUOTE_MINIMAL.  When every column
+    is an int or float array, rows are formatted in chunks of _CHUNK_ROWS and
+    joined directly, since such fields never need quoting; any other table,
+    with a string, bool, None or iterator column, goes through `csv.writer`.
+    """
+    columns = list(columns)
     writer = csv.writer(fh)
     writer.writerow(header)
-    writer.writerows(rows)
+    if not all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns):
+        writer.writerows(_rows(columns))
+        return
+    for i in range(0, min(map(len, columns), default=0), _CHUNK_ROWS):
+        _write_lines(fh, [map(repr, c[i:i + _CHUNK_ROWS].tolist()) for c in columns])
+
+
+@functools.lru_cache(maxsize=1)
+def _time_fields(grid: TimeGrid) -> tuple[str, ...]:
+    """The CSV fields of the grid's times, kept for the last grid written, so
+    that an ensemble on one grid formats them once."""
+    return tuple(map(repr, grid.times().tolist()))
 
 
 def write_path_csv(path: SamplePath, fh: IO[str]) -> None:
-    _write_csv(fh, ["t", "value"], zip(path.grid.times().tolist(), path.values.tolist()))
+    """Write a 't,value' path CSV, the table `_write_csv` writes from the two columns."""
+    times = _time_fields(path.grid)
+    fh.write("t,value\r\n")
+    for i in range(0, len(times), _CHUNK_ROWS):
+        _write_lines(fh, [times[i:i + _CHUNK_ROWS],
+                          map(repr, path.values[i:i + _CHUNK_ROWS].tolist())])
 
 
-def read_path_csv(fh: IO[str]) -> SamplePath:
-    """Read a 't,value' price CSV whose times are the uniform grid 0, dt, ..., T."""
+def _load_columns(fh: IO[str]) -> np.ndarray:
+    """The t and value columns of a plain path CSV, read by one `np.loadtxt`.
+
+    Plain means a 't,value' header line and data rows of exactly two numbers,
+    blank lines between them allowed; anything else raises a ValueError.  With
+    no third column there is no field `np.loadtxt` would skip, so no quoted
+    field, which `csv` may continue onto later lines, can be read differently.
+    """
+    if fh.readline() not in ("t,value\n", "t,value\r\n"):
+        raise ValueError("not a plain 't,value' header")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a header-only file has no data
+        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError(f"{data.shape[1]} column(s), not 2")
+    return data.T
+
+
+def _parse_lines(fh: IO[str]) -> np.ndarray:
+    """The t and value columns of a path CSV, parsed line by line with `csv` and
+    `float`: quoted fields, extra columns and '1_000' are read, and an error names
+    its cause and line."""
     reader = csv.reader(fh)
     header = next(reader, None)
     if header is None:
@@ -221,10 +280,13 @@ def read_path_csv(fh: IO[str]) -> SamplePath:
         rows = [(float(r[0]), float(r[1])) for r in reader if r]
     except IndexError:
         raise ValueError(f"path CSV line {reader.line_num} has fewer than 2 fields") from None
-    if len(rows) < 3:
-        raise ValueError(f"path CSV has {len(rows)} data row(s); a path needs at least 3")
-    t = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
+    return np.array(rows, dtype=float).reshape(-1, 2).T
+
+
+def _path_from_columns(t: np.ndarray, v: np.ndarray) -> SamplePath:
+    """The price path of CSV columns whose times are the uniform grid 0, dt, ..., T."""
+    if len(t) < 3:
+        raise ValueError(f"path CSV has {len(t)} data row(s); a path needs at least 3")
     if t[0] != 0.0:
         raise ValueError(f"path CSV times must start at 0, got t = {t[0]}")
     grid = TimeGrid(T=float(t[-1]), dt=float(t[1] - t[0]))
@@ -232,3 +294,22 @@ def read_path_csv(fh: IO[str]) -> SamplePath:
     if len(t) != grid.n + 1 or not np.max(np.abs(t - grid.times())) <= 1e-9 * max(1.0, grid.T):
         raise ValueError(f"path CSV times are not the uniform grid 0, {grid.dt!r}, ..., {grid.T!r}")
     return SamplePath(grid=grid, values=v, kind=PathKind.PRICE)
+
+
+def read_path_csv(fh: IO[str]) -> SamplePath:
+    """Read a 't,value' price CSV whose times are the uniform grid 0, dt, ..., T.
+
+    A plain two-column file is read by one `np.loadtxt` (`_load_columns`).
+    If that fails, or `fh` cannot seek back, the per-line parser
+    (`_parse_lines`) reads the file from where it started: it accepts the
+    same values bit for bit, and also quoted fields, extra columns and
+    underscores in numbers, and its errors name their cause.
+    """
+    columns = None
+    if fh.seekable():
+        start = fh.tell()
+        try:
+            columns = _load_columns(fh)
+        except ValueError:
+            fh.seek(start)
+    return _path_from_columns(*(_parse_lines(fh) if columns is None else columns))

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from logergodic import (
     simulate_wiener,
     theta_process,
     validation,
+    write_path_csv,
 )
 from logergodic.cli import _rational_neighbour, main
 from logergodic.validation import CriterionResult
@@ -492,6 +494,27 @@ class TestTrade:
         )
         assert result.exit_code == 2, result.output
         assert "bad --input" in result.output and cause in result.output
+
+    def test_input_with_byte_order_mark_reads_as_without(self, runner, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with the UTF-8 BOM
+        grid = TimeGrid(T=1.0, dt=0.001)
+        params = GbmParams(mu=0.1, sigma=0.2, s0=100.0)
+        price = simulate_gbm(params, simulate_wiener(grid, path_seed(2, 0)))
+        buf = io.StringIO()
+        write_path_csv(price, buf)
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            src = tmp_path / f"{name}.csv"
+            src.write_bytes(prefix + buf.getvalue().encode())
+            out = tmp_path / f"{name}_out"
+            result = runner.invoke(main, ["--out", str(out), "trade", "--input", str(src)])
+            assert result.exit_code == 0, result.output
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"].pop("input") == str(src)
+            outputs.append((manifest, {p.name: p.read_bytes() for p in out.iterdir()
+                                       if p.name != "manifest.json"}))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1]["summary.json"])["n_excursions"] > 0
 
     def test_input_horizon_beyond_float_range_is_usage_error(self, runner, tmp_path):
         # a well-formed grid whose horizon T = 1e200 puts T^beta past the float range

@@ -1,6 +1,8 @@
+import csv
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,56 @@ from logergodic import (
     simulate_gbm,
     simulate_wiener,
 )
-from logergodic.stochastic import path_header, read_path_csv, write_path_csv
+from logergodic.cli import _table
+from logergodic.stochastic import (
+    _CHUNK_ROWS,
+    _parse_lines,
+    _path_from_columns,
+    _write_csv,
+    path_header,
+    read_path_csv,
+    write_path_csv,
+)
+
+CHUNK_EDGES = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 1.7e308, -1.7e308, math.inf, math.nan, 0.1]
+SPECIAL_INTS = [0, -1, 2**63 - 1, -(2**63), 10**18]
+
+
+def csv_writer_text(header, columns) -> str:
+    """The reference table: `csv.writer` on Python values, as before columns were
+    written by chunks."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(zip(*(c.tolist() for c in columns)))
+    return buf.getvalue()
+
+
+def random_column(rng, kind: str, n: int) -> np.ndarray:
+    """n values of every magnitude (random float bit patterns, or int64 or
+    uint64 values), with the special values of the kind at random rows."""
+    if kind == "float":
+        col = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+        special = np.array(SPECIAL_FLOATS)
+    elif kind == "int":
+        col = rng.integers(-(2**63), 2**63, n, dtype=np.int64, endpoint=False)
+        special = np.array(SPECIAL_INTS)
+    else:
+        col = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+        special = np.array([0, 2**64 - 1], dtype=np.uint64)
+    if n:
+        col[rng.integers(0, n, len(special))] = special
+    return col
+
+
+def read_outcome(read, text: str):
+    """What `read` makes of text: the grid and value bits, or the error."""
+    try:
+        path = read(io.StringIO(text))
+    except ValueError as e:
+        return "error", str(e)
+    return path.grid, path.values.tobytes()
 
 
 class TestTimeGrid:
@@ -248,6 +299,152 @@ class TestSerialization:
     def test_malformed_csv_names_the_cause(self, text, cause):
         with pytest.raises(ValueError, match=cause):
             read_path_csv(io.StringIO(text))
+
+    @given(rows=st.sampled_from(CHUNK_EDGES),
+           kinds=st.lists(st.sampled_from(["float", "int", "uint"]), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_array_table_matches_csv_writer(self, rows, kinds, seed):
+        rng = np.random.default_rng(seed)
+        columns = [random_column(rng, kind, rows) for kind in kinds]
+        header = [f"c{i}" for i in range(len(columns))]
+        buf = io.StringIO()
+        _write_csv(buf, header, columns)
+        assert buf.getvalue() == csv_writer_text(header, columns)
+
+    def test_table_with_a_string_column_matches_csv_writer(self):
+        columns = {"x": np.array([1.5, -0.0, math.nan]), "name": np.array(["a", "b,c", 'd"e']),
+                   "ok": np.array([True, False, True]), "note": ("", None, "f\ng")}
+        buf = io.StringIO()
+        _table("t", columns, "csv")["t.csv"](buf)
+        expected = io.StringIO()
+        csv.writer(expected).writerows([["x", "name", "ok", "note"], [1.5, "a", True, ""],
+                                        [-0.0, "b,c", False, None], [math.nan, 'd"e', True, "f\ng"]])
+        assert buf.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("rows", CHUNK_EDGES[1:])
+    def test_cli_table_matches_csv_writer(self, rows):
+        rng = np.random.default_rng(rows)
+        columns = {"t": random_column(rng, "float", rows), "z": random_column(rng, "float", rows),
+                   "mark": random_column(rng, "int", rows)}
+        buf = io.StringIO()
+        _table("fig", columns, "csv")["fig.csv"](buf)
+        assert buf.getvalue() == csv_writer_text(list(columns), list(columns.values()))
+
+    @pytest.mark.parametrize("T, dt", [(1.0, 1.0 / (_CHUNK_ROWS - 2)), (1.0, 1.0 / (_CHUNK_ROWS - 1)),
+                                       (1.0, 1.0 / _CHUNK_ROWS), (2.0, 1.0 / _CHUNK_ROWS),
+                                       (1.0, 0.1)])
+    def test_path_csv_matches_csv_writer(self, T, dt):
+        grid = TimeGrid(T=T, dt=dt)
+        # two paths on one grid: the second reuses the first one's time fields
+        for seed in (1, 2):
+            path = simulate_gbm(GbmParams(mu=0.1, sigma=0.2, s0=100.0), simulate_wiener(grid, seed))
+            buf = io.StringIO()
+            write_path_csv(path, buf)
+            assert buf.getvalue() == csv_writer_text(["t", "value"], [grid.times(), path.values])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,value\n0,100\n0.5,101\n1,102\n",
+            "t,value\r\n0,100\r\n0.5,101\r\n1,102\r\n",
+            "t,value\n\n0,100\n\n0.5,101\r\n\r\n1,102\n\n",
+            "t,value\n# a comment\n0,100\n0.5,101\n1,102\n",
+            't,value\n"0","100"\n0.5,"101"\n1,102\n',
+            '"t","value"\n0,100\n0.5,101\n1,102\n',
+            "t,value\n 0 , 100 \n0.5 ,\t101\n1, 102\n",
+            "t,value\n0,100,x\n0.5,101,y\n1,102,z\n",
+            "t,value\n0,100,\n0.5,101,\n1,102,\n",
+            "t,value\n0,100\n0.5,101,7\n1,102\n",
+            # a quoted third field continues onto the next line: two data rows
+            't,value,note\n0,100,"a\n0.5,101,b"\n1,102,c\n',
+            "t,value\n0,100\n0.5\n1,102\n",
+            "t,value\n0,100\n   \n0.5,101\n1,102\n",
+            "t,value\n0,100\n0.5,abc\n1,102\n",
+            "t,value\n0,100\n0.5,\n1,102\n",
+            "t,value\n0,100\n0.5,nan\n1,102\n",
+            "t,value\n0,100\n0.5,inf\n1,102\n",
+            "t,value\n0,100\n0.5,-Infinity\n1,102\n",
+            "t,value\n0,1_000\n0.5,101\n1,102\n",
+            "t,value,volume\n0,100,5\n0.5,101,6\n1,102,7\n",
+            "t,value\n0,1\n",
+            "t,value\n",
+            "",
+            "\ufefft,value\n0,100\n0.5,101\n1,102\n",
+            "time,value\n0,100\n0.5,101\n1,102\n",
+            "t,value\n0,100\n0.25,101\n1,102\n",
+            "t,value\n0.5,100\n1,101\n1.5,102\n",
+            "t,value\n-0,+1e2\n.5,101.\n1E0,1.00000000000000011102230246251565404236316680908203125\n",
+            "t,value\n0,0.1000000000000000055511151231257827021181583404541015625\n"
+            "0.5,2.2250738585072011e-308\n1,4.9406564584124654e-324\n",
+            "t,value\n0,100\n0.5,0\n1,102\n",
+        ],
+        ids=["lf", "crlf", "blank_lines", "comment", "quoted_fields", "quoted_header",
+             "spaces", "extra_text_column", "trailing_comma", "one_extra_field",
+             "multiline_quoted_field", "short_row", "whitespace_row", "abc", "empty_field", "nan",
+             "inf", "minus_infinity", "underscore", "three_column_header", "one_row",
+             "header_only", "empty", "bom", "wrong_header", "uneven_grid", "late_start",
+             "number_forms", "rounding_cases", "zero_price"],
+    )
+    def test_both_read_paths_agree(self, text):
+        whole = read_outcome(read_path_csv, text)
+        per_line = read_outcome(lambda fh: _path_from_columns(*_parse_lines(fh)), text)
+        assert whole == per_line
+
+    @given(values=st.lists(st.floats(min_value=5e-324, allow_infinity=False), min_size=3,
+                           max_size=40),
+           form=st.sampled_from(["{!r}", "{:.17g}", "{:.25e}", "{:.3f}", "{:.40f}"]),
+           newline=st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=100, deadline=None)
+    def test_both_read_paths_read_the_same_bits(self, values, form, newline):
+        grid = TimeGrid(T=1.0, dt=1.0 / (len(values) - 1))
+        lines = ["t,value"] + [f"{t!r},{form.format(v)}"
+                               for t, v in zip(grid.times().tolist(), values)]
+        text = newline.join(lines) + newline
+        assert read_outcome(read_path_csv, text) == read_outcome(
+            lambda fh: _path_from_columns(*_parse_lines(fh)), text)
+
+    def test_unseekable_stream_is_read_line_by_line(self):
+        class Unseekable(io.StringIO):
+            def seekable(self):
+                return False
+
+        path = read_path_csv(Unseekable('t,value\n0,"100"\n0.5,101\n1,102\n'))
+        assert path.values.tolist() == [100.0, 101.0, 102.0]
+
+    def test_reading_is_bounded_in_memory(self, tmp_path):
+        n = 200_000
+        grid = TimeGrid(T=1.0, dt=1.0 / n)
+        path = simulate_gbm(GbmParams(mu=0.1, sigma=0.2, s0=100.0), simulate_wiener(grid, 1))
+        src = tmp_path / "path.csv"
+        with open(src, "w", newline="") as fh:
+            write_path_csv(path, fh)
+        with open(src) as fh:
+            tracemalloc.start()
+            try:
+                back = read_path_csv(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(back.values, path.values)
+        # two float columns are 3.2 MB; a list of Python row tuples takes ~28 MB
+        assert peak < 10e6
+
+    def test_writing_is_bounded_in_memory(self):
+        n = 200_000
+        columns = {"t": np.linspace(0.0, 1.0, n), "z": np.sin(np.arange(n) * 0.1),
+                   "mark": np.arange(n) % 2}
+        buf = io.StringIO()
+        write = _table("fig", columns, "csv")["fig.csv"]
+        tracemalloc.start()
+        try:
+            write(buf)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beyond the text written, at most one chunk of Python floats, their
+        # strings and lines (~100 bytes per field), not a list of every row
+        assert peak - current < _CHUNK_ROWS * len(columns) * 200
 
     def test_header_contents(self):
         grid = TimeGrid(T=1.0, dt=0.25)
