@@ -257,8 +257,13 @@ def trade(ctx, input_path, literal_indicator, **flags):
         grid = price.grid
         logp = stochastic.log_path(price)
         # recover the driving Wiener values from the log path
-        w_vals = (logp.values - logp.values[0] - params.q * grid.times()) / params.sigma
-        wiener = stochastic.WienerPath(grid=grid, w=w_vals)
+        with np.errstate(over="ignore"):  # an inf value fails WienerPath's checks
+            w_vals = (logp.values - logp.values[0] - params.q * grid.times()) / params.sigma
+        try:
+            wiener = stochastic.WienerPath(grid=grid, w=w_vals)
+        except ValueError as e:
+            raise ValueError(f"mu = {params.mu} and sigma = {params.sigma} take the Wiener path "
+                             f"backed out of --input beyond the float range: {e}") from None
     else:
         wiener = simulate_wiener(grid, path_seed(seed, 0))
         price = stochastic.simulate_gbm(params, wiener)
@@ -323,8 +328,11 @@ def rotate(ctx, **flags):
         except (TypeError, ValueError):
             raise click.UsageError(f"unknown theta {theta_spec!r}")
     try:
-        ivals = [(float(a), float(b))
-                 for a, b in (pair.split(":") for pair in str(cfg["intervals"]).split(","))]
+        specs = str(cfg["intervals"]).split(",")
+        for spec in specs:
+            if spec.count(":") != 1:
+                raise ValueError(f"interval {spec!r} is not a:b")
+        ivals = [tuple(map(float, spec.split(":"))) for spec in specs]
         arc_lengths = [float(v) for v in str(cfg["arcs"]).split(",")]
     except ValueError as e:
         raise click.UsageError(f"bad interval/arc spec: {e}")

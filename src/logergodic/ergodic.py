@@ -116,8 +116,13 @@ def construct_z_gbm(params: GbmParams, wiener: WienerPath, beta: float) -> Sampl
     """Closed-form Z for a GBM log path: Z = (q t W_T + sigma W) / T^beta."""
     grid = wiener.grid
     cfg = EmoConfig(beta=beta, T=grid.T, wT=wiener.terminal)  # checks beta
-    z = (params.q * grid.times() * cfg.wT + params.sigma * wiener.w) / cfg.T**cfg.beta
-    return SamplePath(grid=grid, values=z, kind=PathKind.ZPROCESS)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan Z fails SamplePath's checks
+        z = (params.q * grid.times() * cfg.wT + params.sigma * wiener.w) / cfg.T**cfg.beta
+    try:
+        return SamplePath(grid=grid, values=z, kind=PathKind.ZPROCESS)
+    except ValueError as e:
+        raise ValueError(f"mu = {params.mu}, sigma = {params.sigma}, beta = {beta} and "
+                         f"T = {grid.T} take Z out of the float range: {e}") from None
 
 
 def ergodicity_diagnostic(

@@ -93,6 +93,10 @@ class WienerPath:
             raise ValueError("Wiener path length must be grid.n + 1")
         if self.w[0] != 0.0:
             raise ValueError("Wiener path must start at 0")
+        bad = np.flatnonzero(~np.isfinite(self.w))
+        if bad.size:
+            raise ValueError(f"Wiener values must be finite, got {self.w[bad[0]]} "
+                             f"at index {bad[0]}")
 
     @property
     def terminal(self) -> float:
@@ -248,43 +252,31 @@ def write_path_csv(path: SamplePath, fh: IO[str]) -> None:
                           map(repr, path.values[i:i + _CHUNK_ROWS].tolist())])
 
 
-def _load_columns(fh: IO[str]) -> np.ndarray:
-    """The t and value columns of a plain path CSV, read by one `np.loadtxt`.
+def read_path_csv(fh: IO[str]) -> SamplePath:
+    """Read a 't,value' price CSV whose times are the uniform grid 0, dt, ..., T.
 
-    Plain means a 't,value' header line and data rows of exactly two numbers,
-    blank lines between them allowed; anything else raises a ValueError.  With
-    no third column there is no field `np.loadtxt` would skip, so no quoted
-    field, which `csv` may continue onto later lines, can be read differently.
+    The first line is the header, parsed by `csv`; columns after 'value' are
+    ignored.  The data rows are read by one `np.loadtxt` with `csv`'s quoting:
+    LF or CRLF line ends, quoted fields and blank lines are accepted.  A row
+    whose t or value is missing or not a number, such as '1_000' or '', is
+    refused with NumPy's note of the field, its row and its column.
     """
-    if fh.readline() not in ("t,value\n", "t,value\r\n"):
-        raise ValueError("not a plain 't,value' header")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a header-only file has no data
-        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError(f"{data.shape[1]} column(s), not 2")
-    return data.T
-
-
-def _parse_lines(fh: IO[str]) -> np.ndarray:
-    """The t and value columns of a path CSV, parsed line by line with `csv` and
-    `float`: quoted fields, extra columns and '1_000' are read, and an error names
-    its cause and line."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:
+    line = fh.readline()
+    if not line:
         raise ValueError("path CSV is empty; expected a 't,value' header")
+    try:
+        header = next(csv.reader([line]))
+    except csv.Error as e:
+        raise ValueError(f"path CSV header is not a CSV line: {e}") from None
     if header[:2] != ["t", "value"]:
         raise ValueError(f"expected 't,value' header, got {header}")
     try:
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    except IndexError:
-        raise ValueError(f"path CSV line {reader.line_num} has fewer than 2 fields") from None
-    return np.array(rows, dtype=float).reshape(-1, 2).T
-
-
-def _path_from_columns(t: np.ndarray, v: np.ndarray) -> SamplePath:
-    """The price path of CSV columns whose times are the uniform grid 0, dt, ..., T."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file has no data
+            t, v = np.loadtxt(fh, delimiter=",", quotechar='"', usecols=(0, 1), ndmin=2,
+                              comments=None).T
+    except ValueError as e:
+        raise ValueError(f"path CSV rows must start with two numbers t,value: {e}") from None
     if len(t) < 3:
         raise ValueError(f"path CSV has {len(t)} data row(s); a path needs at least 3")
     if t[0] != 0.0:
@@ -294,22 +286,3 @@ def _path_from_columns(t: np.ndarray, v: np.ndarray) -> SamplePath:
     if len(t) != grid.n + 1 or not np.max(np.abs(t - grid.times())) <= 1e-9 * max(1.0, grid.T):
         raise ValueError(f"path CSV times are not the uniform grid 0, {grid.dt!r}, ..., {grid.T!r}")
     return SamplePath(grid=grid, values=v, kind=PathKind.PRICE)
-
-
-def read_path_csv(fh: IO[str]) -> SamplePath:
-    """Read a 't,value' price CSV whose times are the uniform grid 0, dt, ..., T.
-
-    A plain two-column file is read by one `np.loadtxt` (`_load_columns`).
-    If that fails, or `fh` cannot seek back, the per-line parser
-    (`_parse_lines`) reads the file from where it started: it accepts the
-    same values bit for bit, and also quoted fields, extra columns and
-    underscores in numbers, and its errors name their cause.
-    """
-    columns = None
-    if fh.seekable():
-        start = fh.tell()
-        try:
-            columns = _load_columns(fh)
-        except ValueError:
-            fh.seek(start)
-    return _path_from_columns(*(_parse_lines(fh) if columns is None else columns))

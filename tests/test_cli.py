@@ -526,6 +526,26 @@ class TestTrade:
         assert "T = 1e+200 and beta = 2.0 put T^beta outside the float range" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mu", "1e300", "mu = 1e+300, sigma = 0.2, beta = 2.0 and T = 1.0 take Z out of the "
+                          "float range: path values must be finite, got -inf at index 1"),
+        ("--sigma", "1e-310", "mu = 0.1 and sigma = 1e-310 take the Wiener path backed out of "
+                              "--input beyond the float range: Wiener values must be finite, "
+                              "got -inf at index 1"),
+    ], ids=["mu", "sigma"])
+    def test_input_setting_that_overflows_is_named(self, tmp_path, flag, value, message):
+        # in a child process, where a NumPy warning would print rather than raise
+        price_csv = tmp_path / "in.csv"
+        price_csv.write_text("t,value\n0,100\n0.5,101\n1,102\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "logergodic.cli", "--out", str(tmp_path / "o"), "trade",
+             "--input", str(price_csv), flag, value],
+            capture_output=True, text=True, timeout=60, env=_child_env())
+        assert result.returncode == 2, result.stderr
+        assert "RuntimeWarning" not in result.stderr + result.stdout
+        assert result.stderr.strip().splitlines()[-1] == f"Error: {message}"
+        assert not (tmp_path / "o").exists()
+
     def test_directory_input_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["--out", str(tmp_path / "out"), "trade", "--input", str(tmp_path)]
@@ -622,6 +642,14 @@ class TestRotate:
         )
         assert result.exit_code == 2, result.output
         assert "bad interval/arc spec" in result.output
+
+    @pytest.mark.parametrize("spec, bad", [("0.1:0.2:0.3", "0.1:0.2:0.3"), ("0.5", "0.5"),
+                                           ("0.0:0.5,,0.5:1.0", "")])
+    def test_interval_that_is_not_a_pair_is_named(self, runner, tmp_path, spec, bad):
+        result = runner.invoke(
+            main, ["--out", str(tmp_path / "x"), "rotate", "--n", "1000", "--intervals", spec])
+        assert result.exit_code == 2, result.output
+        assert f"bad interval/arc spec: interval {bad!r} is not a:b" in result.output
 
 
 class TestPrice:

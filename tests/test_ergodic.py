@@ -190,6 +190,18 @@ class TestConstructZGbm:
         with pytest.raises(ValueError, match="beta must be finite"):
             construct_z_gbm(GBM, w, beta=beta)
 
+    @pytest.mark.parametrize("sigma, w1", [(0.2, -0.1), (1e150, -1e200)],
+                             ids=["overflow", "inf_minus_inf"])
+    def test_z_beyond_float_range_names_the_settings(self, sigma, w1):
+        # q t W_T overflows at t = 0.5; with sigma W_t = -inf, Z is inf - inf
+        grid = TimeGrid(T=1.0, dt=0.5)
+        w = WienerPath(grid=grid, w=np.array([0.0, w1, 1e10]))
+        params = GbmParams(mu=1e300, sigma=sigma, s0=100.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"mu = 1e+300, sigma = {sigma}, beta = 2.0 and T = 1.0 take Z out of the float "
+                "range: path values must be finite, got ")):
+            construct_z_gbm(params, w, beta=2.0)
+
 
 class TestErgodicityDiagnostic:
     def test_constant_zero_ensemble(self):

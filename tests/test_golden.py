@@ -5,6 +5,7 @@ against a copy of itself must show no difference, and a copy with one changed
 output digit must show exactly the file that holds it.
 """
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -63,3 +64,29 @@ def test_changed_output_digit_shows_exactly_that_file(tmp_path, copy):
                           "--expect-change", "price-point/pricing_sweep.csv")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert report["summary"] == {"same": 0, "expected": 1, "DIFFERS": 0}
+
+
+def test_file_placeholder_is_the_committed_file(tmp_path):
+    spec = importlib.util.spec_from_file_location("golden", GOLDEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tie = ROOT / "tools" / "golden_inputs" / "tie.csv"
+    assert tie.is_file() and tie.is_absolute()
+    assert module.expand_inputs("trade --input {file:tie.csv} --eps 0", tmp_path) == [
+        "trade", "--input", str(tie), "--eps", "0"]
+
+
+@pytest.mark.parametrize("name", ["nope.csv", "../golden.py", ""])
+def test_unknown_file_placeholder_stops_the_run_naming_it(tmp_path, name):
+    list_path = tmp_path / "golden.txt"
+    list_path.write_text("price-point: price --taus 0.5 --zs 0.05 --xs 100\n"
+                         f"trade-file: trade --input {{file:{name}}}\n")
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(GOLDEN), "--base-tree", str(ROOT), "--list", str(list_path),
+         "--report", str(report)],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1
+    assert f"{{file:{name}}}: there is no file {name!r} in" in proc.stderr
+    # resolved before the first invocation runs
+    assert proc.stdout == "" and not report.exists()

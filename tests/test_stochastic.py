@@ -23,8 +23,6 @@ from logergodic import (
 from logergodic.cli import _table
 from logergodic.stochastic import (
     _CHUNK_ROWS,
-    _parse_lines,
-    _path_from_columns,
     _write_csv,
     path_header,
     read_path_csv,
@@ -63,13 +61,17 @@ def random_column(rng, kind: str, n: int) -> np.ndarray:
     return col
 
 
-def read_outcome(read, text: str):
-    """What `read` makes of text: the grid and value bits, or the error."""
-    try:
-        path = read(io.StringIO(text))
-    except ValueError as e:
-        return "error", str(e)
-    return path.grid, path.values.tobytes()
+def float_per_field(text: str) -> SamplePath:
+    """The oracle reader: `csv` rows, blank ones skipped, and `float` on the first
+    two fields of each data row."""
+    t, v = np.array([(float(r[0]), float(r[1]))
+                     for r in list(csv.reader(io.StringIO(text)))[1:] if r]).T
+    return SamplePath(grid=TimeGrid(T=float(t[-1]), dt=float(t[1] - t[0])), values=v,
+                      kind=PathKind.PRICE)
+
+
+# the reader's own wording for a row that is not two numbers
+NOT_TWO_NUMBERS = "path CSV rows must start with two numbers t,value"
 
 
 class TestTimeGrid:
@@ -164,6 +166,11 @@ class TestSimulateWiener:
         )
         assert abs(wt.mean()) <= 3 * math.sqrt(grid.T / n)
         assert 0.95 <= wt.var(ddof=1) / grid.T <= 1.05
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError, match=f"Wiener values must be finite, got {bad} at index 2"):
+            WienerPath(grid=TimeGrid(T=1.0, dt=0.5), w=np.array([0.0, 0.1, bad]))
 
 
 class TestSimulateGbm:
@@ -285,8 +292,8 @@ class TestSerialization:
             ("", "empty"),
             ("t,value\r\n", "0 data row"),
             ("t,value\r\n0.0,100.0\r\n", "1 data row"),
-            ("t,value\r\n0.0,100.0\r\n0.5\r\n1.0,100.0\r\n", "line 3 has fewer than 2"),
-            ("t,value\r\n0.0,100.0\r\n0.5,abc\r\n1.0,100.0\r\n", "could not convert"),
+            ("t,value\r\n0.0,100.0\r\n0.5\r\n1.0,100.0\r\n", NOT_TWO_NUMBERS),
+            ("t,value\r\n0.0,100.0\r\n0.5,abc\r\n1.0,100.0\r\n", f"{NOT_TWO_NUMBERS}: .*'abc'"),
             ("t,value\r\n0.0,1.0\r\n0.1,1.0\r\n0.2,1.0\r\n0.4,1.0\r\n", "uniform grid"),
             ("t,value\r\n0.0,1.0\r\n0.1,1.0\r\n0.25,1.0\r\n0.3,1.0\r\n", "uniform grid"),
             ("t,value\r\n0.5,1.0\r\n0.6,1.0\r\n0.7,1.0\r\n", "start at 0"),
@@ -344,52 +351,70 @@ class TestSerialization:
             assert buf.getvalue() == csv_writer_text(["t", "value"], [grid.times(), path.values])
 
     @pytest.mark.parametrize(
-        "text",
+        "text, outcome",
         [
-            "t,value\n0,100\n0.5,101\n1,102\n",
-            "t,value\r\n0,100\r\n0.5,101\r\n1,102\r\n",
-            "t,value\n\n0,100\n\n0.5,101\r\n\r\n1,102\n\n",
-            "t,value\n# a comment\n0,100\n0.5,101\n1,102\n",
-            't,value\n"0","100"\n0.5,"101"\n1,102\n',
-            '"t","value"\n0,100\n0.5,101\n1,102\n',
-            "t,value\n 0 , 100 \n0.5 ,\t101\n1, 102\n",
-            "t,value\n0,100,x\n0.5,101,y\n1,102,z\n",
-            "t,value\n0,100,\n0.5,101,\n1,102,\n",
-            "t,value\n0,100\n0.5,101,7\n1,102\n",
+            ("t,value\n0,100\n0.5,101\n1,102\n", [100.0, 101.0, 102.0]),
+            ("t,value\r\n0,100\r\n0.5,101\r\n1,102\r\n", [100.0, 101.0, 102.0]),
+            ("t,value\n\n0,100\n\n0.5,101\r\n\r\n1,102\n\n", [100.0, 101.0, 102.0]),
+            ("t,value\n# a comment\n0,100\n0.5,101\n1,102\n", (NOT_TWO_NUMBERS, "'# a comment'")),
+            ('t,value\n"0","100"\n0.5,"101"\n1,102\n', [100.0, 101.0, 102.0]),
+            ('"t","value"\n0,100\n0.5,101\n1,102\n', [100.0, 101.0, 102.0]),
+            ("t,value\n 0 , 100 \n0.5 ,\t101\n1, 102\n", [100.0, 101.0, 102.0]),
+            ("t,value\n0,100,x\n0.5,101,y\n1,102,z\n", [100.0, 101.0, 102.0]),
+            ("t,value\n0,100,\n0.5,101,\n1,102,\n", [100.0, 101.0, 102.0]),
+            ("t,value\n0,100\n0.5,101,7\n1,102\n", [100.0, 101.0, 102.0]),
             # a quoted third field continues onto the next line: two data rows
-            't,value,note\n0,100,"a\n0.5,101,b"\n1,102,c\n',
-            "t,value\n0,100\n0.5\n1,102\n",
-            "t,value\n0,100\n   \n0.5,101\n1,102\n",
-            "t,value\n0,100\n0.5,abc\n1,102\n",
-            "t,value\n0,100\n0.5,\n1,102\n",
-            "t,value\n0,100\n0.5,nan\n1,102\n",
-            "t,value\n0,100\n0.5,inf\n1,102\n",
-            "t,value\n0,100\n0.5,-Infinity\n1,102\n",
-            "t,value\n0,1_000\n0.5,101\n1,102\n",
-            "t,value,volume\n0,100,5\n0.5,101,6\n1,102,7\n",
-            "t,value\n0,1\n",
-            "t,value\n",
-            "",
-            "\ufefft,value\n0,100\n0.5,101\n1,102\n",
-            "time,value\n0,100\n0.5,101\n1,102\n",
-            "t,value\n0,100\n0.25,101\n1,102\n",
-            "t,value\n0.5,100\n1,101\n1.5,102\n",
-            "t,value\n-0,+1e2\n.5,101.\n1E0,1.00000000000000011102230246251565404236316680908203125\n",
-            "t,value\n0,0.1000000000000000055511151231257827021181583404541015625\n"
-            "0.5,2.2250738585072011e-308\n1,4.9406564584124654e-324\n",
-            "t,value\n0,100\n0.5,0\n1,102\n",
+            ('t,value,note\n0,100,"a\n0.5,101,b"\n1,102,c\n', ("2 data row(s)",)),
+            ("t,value\n0,100\n0.5\n1,102\n", (NOT_TWO_NUMBERS,)),
+            ("t,value\n0,100\n   \n0.5,101\n1,102\n", (NOT_TWO_NUMBERS, "'   '")),
+            ("t,value\n0,100\n0.5,abc\n1,102\n", (NOT_TWO_NUMBERS, "'abc'")),
+            ("t,value\n0,100\n0.5,\n1,102\n", (NOT_TWO_NUMBERS, "''")),
+            ("t,value\n0,100\n0.5,nan\n1,102\n", ("values must be finite, got nan at index 1",)),
+            ("t,value\n0,100\n0.5,inf\n1,102\n", ("values must be finite, got inf at index 1",)),
+            ("t,value\n0,100\n0.5,-Infinity\n1,102\n",
+             ("values must be finite, got -inf at index 1",)),
+            # Python literal syntax, which no CSV producer writes
+            ("t,value\n0,1_000\n0.5,101\n1,102\n", (NOT_TWO_NUMBERS, "'1_000'")),
+            ("t,value,volume\n0,100,5\n0.5,101,6\n1,102,7\n", [100.0, 101.0, 102.0]),
+            ("t,value\n0,1\n", ("1 data row(s); a path needs at least 3",)),
+            ("t,value\n", ("0 data row(s); a path needs at least 3",)),
+            ("", ("path CSV is empty",)),
+            ("t,value," + "x" * 200_000 + "\n0,100\n0.5,101\n1,102\n",
+             ("path CSV header is not a CSV line: field larger than field limit",)),
+            ("\ufefft,value\n0,100\n0.5,101\n1,102\n",
+             ("expected 't,value' header, got ['\\ufefft', 'value']",)),
+            ("time,value\n0,100\n0.5,101\n1,102\n",
+             ("expected 't,value' header, got ['time', 'value']",)),
+            ("t,value\n0,100\n0.25,101\n1,102\n", ("not the uniform grid 0, 0.25, ..., 1.0",)),
+            ("t,value\n0.5,100\n1,101\n1.5,102\n", ("times must start at 0, got t = 0.5",)),
+            # 1 + 2^-53 exactly, half way between two doubles, rounds to even
+            ("t,value\n-0,+1e2\n.5,101.\n1E0,1.00000000000000011102230246251565404236316680908203125\n",
+             [100.0, 101.0, 1.0]),
+            ("t,value\n0,0.1000000000000000055511151231257827021181583404541015625\n"
+             "0.5,2.2250738585072011e-308\n1,4.9406564584124654e-324\n",
+             [0.1, 2.225073858507201e-308, 5e-324]),
+            ("t,value\n0,100\n0.5,0\n1,102\n", ("price paths must be strictly positive",)),
         ],
         ids=["lf", "crlf", "blank_lines", "comment", "quoted_fields", "quoted_header",
              "spaces", "extra_text_column", "trailing_comma", "one_extra_field",
              "multiline_quoted_field", "short_row", "whitespace_row", "abc", "empty_field", "nan",
              "inf", "minus_infinity", "underscore", "three_column_header", "one_row",
-             "header_only", "empty", "bom", "wrong_header", "uneven_grid", "late_start",
-             "number_forms", "rounding_cases", "zero_price"],
+             "header_only", "empty", "huge_header", "bom", "wrong_header", "uneven_grid",
+             "late_start", "number_forms", "rounding_cases", "zero_price"],
     )
-    def test_both_read_paths_agree(self, text):
-        whole = read_outcome(read_path_csv, text)
-        per_line = read_outcome(lambda fh: _path_from_columns(*_parse_lines(fh)), text)
-        assert whole == per_line
+    def test_both_read_paths_agree(self, text, outcome):
+        """The reader's outcome on each input: an accepted one gives its values on
+        the grid 0, 0.5, 1, bit for bit those of the `float_per_field` oracle; a
+        rejected one gives the reader's own message and the offending field."""
+        if isinstance(outcome, tuple):
+            with pytest.raises(ValueError) as err:
+                read_path_csv(io.StringIO(text))
+            assert all(part in str(err.value) for part in outcome), str(err.value)
+            return
+        path = read_path_csv(io.StringIO(text))
+        assert path.grid == TimeGrid(T=1.0, dt=0.5)
+        assert path.values.tolist() == outcome
+        assert path.values.tobytes() == float_per_field(text).values.tobytes()
 
     @given(values=st.lists(st.floats(min_value=5e-324, allow_infinity=False), min_size=3,
                            max_size=40),
@@ -401,13 +426,23 @@ class TestSerialization:
         lines = ["t,value"] + [f"{t!r},{form.format(v)}"
                                for t, v in zip(grid.times().tolist(), values)]
         text = newline.join(lines) + newline
-        assert read_outcome(read_path_csv, text) == read_outcome(
-            lambda fh: _path_from_columns(*_parse_lines(fh)), text)
+        try:
+            expected = float_per_field(text)
+        except ValueError as e:  # a value that rounds to 0 in the form: both refuse it
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                read_path_csv(io.StringIO(text))
+            return
+        path = read_path_csv(io.StringIO(text))
+        assert path.grid == expected.grid
+        assert path.values.tobytes() == expected.values.tobytes()
 
-    def test_unseekable_stream_is_read_line_by_line(self):
+    def test_unseekable_stream_is_read(self):
         class Unseekable(io.StringIO):
             def seekable(self):
                 return False
+
+            def seek(self, *args):
+                raise io.UnsupportedOperation("seek")
 
         path = read_path_csv(Unseekable('t,value\n0,"100"\n0.5,101\n1,102\n'))
         assert path.values.tolist() == [100.0, 101.0, 102.0]

@@ -19,7 +19,10 @@ under `o` or one of exit_code, stdout, stderr, out_exists.
 
 A placeholder {input:SEED:STEPS} in ARGS becomes the path of a seeded GBM
 price CSV of STEPS steps, made once per run by
-`python perfbench/workloads.py SEED PATH STEPS`; both sides read the same file.
+`python perfbench/workloads.py SEED PATH STEPS`, and {file:NAME} the absolute
+path of the committed file tools/golden_inputs/NAME, for inputs that no seed
+makes; both sides read the same file.  Every placeholder is resolved before
+the first invocation runs, so an unknown NAME stops the run at once.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUT = re.compile(r"\{input:(\d+):(\d+)\}")
+FILE = re.compile(r"\{file:([^{}]*)\}")
+FILES = ROOT / "tools" / "golden_inputs"
 ITEMS = ("exit_code", "stdout", "stderr", "out_exists")
 TIMEOUT_S = 600  # per invocation and per generated input
 
@@ -70,15 +75,22 @@ def extract_src(rev: str, dest: Path) -> Path:
 
 
 def expand_inputs(args: str, inputs: Path) -> list[str]:
-    """ARGS split as a shell would, each {input:SEED:STEPS} replaced by its CSV path."""
-    def path(match: re.Match) -> str:
+    """ARGS split as a shell would, each {input:SEED:STEPS} replaced by its generated
+    CSV's path and each {file:NAME} by its committed file's path."""
+    def generated(match: re.Match) -> str:
         seed, steps = match.groups()
         csv = inputs / f"gbm_seed{seed}_{steps}.csv"
         if not csv.exists():
             subprocess.run([sys.executable, "-B", str(ROOT / "perfbench" / "workloads.py"),
                             seed, str(csv), steps], check=True, timeout=TIMEOUT_S)
-        return str(csv)
-    return shlex.split(INPUT.sub(path, args))
+        return shlex.quote(str(csv))
+
+    def committed(match: re.Match) -> str:
+        path = FILES / match.group(1)
+        if path.parent != FILES or not path.is_file():
+            sys.exit(f"{match.group(0)}: there is no file {match.group(1)!r} in {FILES}")
+        return shlex.quote(str(path))
+    return shlex.split(FILE.sub(committed, INPUT.sub(generated, args)))
 
 
 def sha256(path: Path) -> str:
@@ -146,9 +158,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             base_src, base_label = extract_src(opts.base, work), opts.base
         (work / "inputs").mkdir()
+        argvs = [expand_inputs(args, work / "inputs") for _, args in entries]
         invocations = []
-        for ident, args in entries:
-            argv_ = expand_inputs(args, work / "inputs")
+        for (ident, args), argv_ in zip(entries, argvs):
             base = run(base_src, argv_, work / "base" / ident)
             tree = run(tree_src, argv_, work / "tree" / ident)
             diff = differences(base, tree)
