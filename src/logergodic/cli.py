@@ -2,12 +2,14 @@
 diagnostics, pricing sweeps, and the acceptance suite.
 
 One binary with subcommands (simulate | trade | rotate | price | validate).
-Parameters resolve with precedence flags > config file > defaults; every run
-writes a manifest echoing the fully resolved configuration, so a run is
-reproducible from its manifest alone.  Each subcommand computes everything
-before it hands its files to `_emit`, which creates the output directory and
-writes them and the manifest, so a run that fails writes nothing.  Exit
-codes: 0 success, 1 validation failure, 2 usage/config error.
+Parameters resolve with precedence flags > config file > defaults: the config
+section of the invoked subcommand is click's default_map, each value converted
+by its option's type as a flag is.  Every run writes a manifest echoing the
+fully resolved configuration, so a run is reproducible from its manifest
+alone.  Each subcommand computes everything before it hands its files to
+`_emit`, which creates the output directory and writes them and the manifest,
+so a run that fails writes nothing.  Exit codes: 0 success, 1 validation
+failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -29,17 +31,8 @@ from .stochastic import GbmParams, TimeGrid, path_seed, simulate_wiener
 _THETA_FIXTURES = {"sqrt2": rotation.SQRT2, "golden": rotation.GOLDEN_CONJUGATE}
 
 _GBM_DEFAULTS = {"mu": 0.1, "sigma": 0.2, "s0": 100.0, "T": 1.0, "dt": 1e-3}
-
-# Every subcommand setting, by its config-file key; click options carry the same names.
-DEFAULTS = {
-    "simulate": {**_GBM_DEFAULTS, "n_paths": 1, "wide": False},
-    "trade": {**_GBM_DEFAULTS, "beta": 2.0, "eps": 0.0, "l": 1.0, "s": 1.0},
-    "rotate": {"theta": "sqrt2", "n": 1_000_000, "x0": 0.0,
-               "intervals": "0.0:0.25,0.2:0.5,0.5:1.0", "arcs": "0.1,0.25,0.5"},
-    "price": {"taus": "0.25,0.5,0.75", "zs": "0.03,0.05,0.08", "xs": "50,100,150",
-              "r": 0.05, "K": math.e**math.e, "T": 1.0, "beta": 2.0, "mu": 0.1,
-              "sigma": 0.2, "wT": 0.3, "s_t0": 100.0, "t": 1.0},
-}
+_BETA = 2.0
+_FLAGS_ONLY = {"input_path", "literal_indicator"}  # options no config file sets
 
 
 def _load_config(path: str | None) -> dict:
@@ -48,7 +41,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or an int of over 4300 digits
         raise click.UsageError(f"cannot read config file {path}: {e}")
     if not isinstance(cfg, dict):
         raise click.UsageError(f"config file {path} must contain a JSON object")
@@ -56,31 +49,19 @@ def _load_config(path: str | None) -> dict:
 
 
 def _fits(value, default) -> bool:
-    """Whether a config-file value can stand in for `default`: a JSON int may
-    stand for a float or a 0/1 switch, and a number for a list or theta text."""
+    """Whether a config-file value can stand in for `default`: a JSON int
+    within the float range may stand for a float, true/false/0/1 for a switch,
+    and a number for a list or theta text."""
     if isinstance(default, bool):
-        return isinstance(value, int)
+        return isinstance(value, int) and value in (0, 1)
     if isinstance(value, bool):
         return False
     if isinstance(default, int):
         return isinstance(value, int)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
+    if isinstance(default, float):  # float() of a larger int raises OverflowError
+        return isinstance(value, float) or (isinstance(value, int)
+                                            and abs(value) <= sys.float_info.max)
     return isinstance(value, (str, int, float))
-
-
-def _settings(ctx, command: str, flags: dict) -> dict:
-    """Resolve every setting of `command`: explicit flag > config-file section > default."""
-    section = ctx.obj["config"].get(command, {})
-    if not isinstance(section, dict):
-        raise click.UsageError(f"config {command} must be a JSON object, got {section!r}")
-    for key, default in DEFAULTS[command].items():
-        if key in section and not _fits(section[key], default):
-            raise click.UsageError(
-                f"config {command}.{key} must be {type(default).__name__}, "
-                f"got {section[key]!r}")
-    return {key: flags[key] if flags.get(key) is not None else section.get(key, default)
-            for key, default in DEFAULTS[command].items()}
 
 
 def _finite(obj):
@@ -164,8 +145,22 @@ def main(ctx, config_path, seed, out_dir, fmt):
                     ("format", config.get("format", "csv") in ("csv", "json"))):
         if not ok:
             raise click.UsageError(f"config {key} cannot be {config[key]!r}")
+    name = ctx.invoked_subcommand
+    defaults = {param.name: param.default for param in ctx.command.commands[name].params
+                if param.name not in _FLAGS_ONLY}
+    section = config.get(name, {}) if defaults else {}
+    if not isinstance(section, dict):
+        raise click.UsageError(f"config {name} must be a JSON object, got {section!r}")
+    for key, default in defaults.items():
+        if key in section and not _fits(section[key], default):
+            raise click.UsageError(f"config {name}.{key} must be {type(default).__name__}, "
+                                   f"got {section[key]!r}")
+    # click resolves flag > config > default and converts a config value by its
+    # option's type; its BOOL takes text or a bool, so a 0/1 switch is made a bool
+    ctx.default_map = {name: {
+        key: bool(section[key]) if isinstance(default, bool) else section[key]
+        for key, default in defaults.items() if key in section}}
     ctx.obj = {
-        "config": config,
         "seed": seed if seed is not None else config.get("seed", 0),
         "out": out_dir if out_dir is not None else config.get("out", "out"),
         "format": fmt if fmt is not None else config.get("format", "csv"),
@@ -191,19 +186,22 @@ def _gbm_from(cfg: dict):
             TimeGrid(T=cfg["T"], dt=cfg["dt"]))
 
 
+def _gbm_options(command):
+    """The GBM options that simulate and trade share, from _GBM_DEFAULTS."""
+    for name, default in reversed(_GBM_DEFAULTS.items()):
+        flag = "--t-horizon" if name == "T" else f"--{name}"
+        command = click.option(flag, name, type=float, default=default)(command)
+    return command
+
+
 @main.command(cls=_Command)
-@click.option("--mu", type=float, default=None)
-@click.option("--sigma", type=float, default=None)
-@click.option("--s0", type=float, default=None)
-@click.option("--t-horizon", "T", type=float, default=None)
-@click.option("--dt", type=float, default=None)
-@click.option("--n-paths", type=int, default=None)
-@click.option("--wide/--per-path", "wide", default=None,
+@_gbm_options
+@click.option("--n-paths", type=int, default=1)
+@click.option("--wide/--per-path", "wide", default=False,
               help="One wide CSV instead of one file per path.")
 @click.pass_context
-def simulate(ctx, **flags):
+def simulate(ctx, **cfg):
     """Simulate a seeded GBM ensemble and write price paths."""
-    cfg = _settings(ctx, "simulate", flags)
     params, grid = _gbm_from(cfg)
     n_paths = cfg["n_paths"]
     if n_paths < 1:
@@ -221,7 +219,7 @@ def simulate(ctx, **flags):
     header_params = {"mu": params.mu, "sigma": params.sigma, "s0": params.s0}
     files["paths_header.json"] = _json(
         [stochastic.path_header(p, seed=seed, params=header_params) for p in paths])
-    resolved = {**cfg, "wide": bool(cfg["wide"]), "seed": seed}
+    resolved = {**cfg, "seed": seed}
     out = _emit(ctx, "simulate", resolved, files)
     click.echo(f"wrote {len(files)} file(s) to {out}")
 
@@ -229,21 +227,16 @@ def simulate(ctx, **flags):
 @main.command(cls=_Command)
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Price path CSV (t,value); omitted = simulate one internally.")
-@click.option("--mu", type=float, default=None)
-@click.option("--sigma", type=float, default=None)
-@click.option("--s0", type=float, default=None)
-@click.option("--t-horizon", "T", type=float, default=None)
-@click.option("--dt", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--eps", type=float, default=None)
-@click.option("--long-leverage", "l", type=float, default=None)
-@click.option("--short-leverage", "s", type=float, default=None)
+@_gbm_options
+@click.option("--beta", type=float, default=_BETA)
+@click.option("--eps", type=float, default=0.0)
+@click.option("--long-leverage", "l", type=float, default=1.0)
+@click.option("--short-leverage", "s", type=float, default=1.0)
 @click.option("--literal-indicator", is_flag=True, default=False,
               help="Weight profit sums by class nonemptiness instead of membership.")
 @click.pass_context
-def trade(ctx, input_path, literal_indicator, **flags):
+def trade(ctx, input_path, literal_indicator, **cfg):
     """Run the Z-process trade-timing pipeline on a price path."""
-    cfg = _settings(ctx, "trade", flags)
     params, grid = _gbm_from(cfg)
     seed = ctx.obj["seed"]
     fmt = ctx.obj["format"]
@@ -304,36 +297,35 @@ def trade(ctx, input_path, literal_indicator, **flags):
 
 
 @main.command(cls=_Command)
-@click.option("--theta", type=str, default=None,
+@click.option("--theta", type=str, default="sqrt2",
               help="Rotation angle: 'sqrt2', 'golden', or a number.")
-@click.option("--n", type=int, default=None, help="Orbit length for the diagnostics.")
-@click.option("--x0", type=float, default=None)
-@click.option("--intervals", type=str, default=None,
+@click.option("--n", type=int, default=1_000_000, help="Orbit length for the diagnostics.")
+@click.option("--x0", type=float, default=0.0)
+@click.option("--intervals", type=str, default="0.0:0.25,0.2:0.5,0.5:1.0",
               help="Comma-separated a:b pairs for the frequency table.")
-@click.option("--arcs", type=str, default=None,
+@click.option("--arcs", type=str, default="0.1,0.25,0.5",
               help="Comma-separated arc lengths for the return-time table.")
 @click.pass_context
-def rotate(ctx, **flags):
+def rotate(ctx, **cfg):
     """Rotation diagnostics: frequencies, return times, orbit averages."""
-    cfg = _settings(ctx, "rotate", flags)
     theta_spec, n, x0 = cfg["theta"], cfg["n"], cfg["x0"]
     fmt = ctx.obj["format"]
     seed = ctx.obj["seed"]
 
-    if isinstance(theta_spec, str) and theta_spec in _THETA_FIXTURES:
+    if theta_spec in _THETA_FIXTURES:
         theta_val = _THETA_FIXTURES[theta_spec]
     else:
         try:
             theta_val = float(theta_spec)
-        except (TypeError, ValueError):
+        except ValueError:
             raise click.UsageError(f"unknown theta {theta_spec!r}")
     try:
-        specs = str(cfg["intervals"]).split(",")
+        specs = cfg["intervals"].split(",")
         for spec in specs:
             if spec.count(":") != 1:
                 raise ValueError(f"interval {spec!r} is not a:b")
         ivals = [tuple(map(float, spec.split(":"))) for spec in specs]
-        arc_lengths = [float(v) for v in str(cfg["arcs"]).split(",")]
+        arc_lengths = [float(v) for v in cfg["arcs"].split(",")]
     except ValueError as e:
         raise click.UsageError(f"bad interval/arc spec: {e}")
     if near := math.isfinite(theta_val) and _rational_neighbour(theta_val, n):
@@ -355,11 +347,10 @@ def rotate(ctx, **flags):
 
     # figure data: circle position of the angle process along a price path
     params, grid = _gbm_from(_GBM_DEFAULTS)
-    beta = DEFAULTS["trade"]["beta"]
     w = simulate_wiener(grid, path_seed(seed, 0))
     price = stochastic.simulate_gbm(params, w)
-    z = construct_z_gbm(params, w, beta=beta)
-    emo_cfg = EmoConfig(beta=beta, T=grid.T, wT=w.terminal)
+    z = construct_z_gbm(params, w, beta=_BETA)
+    emo_cfg = EmoConfig(beta=_BETA, T=grid.T, wT=w.terminal)
     strike = 0.5 * float(np.min(price.values))
     theta = rotation.theta_process(z, price, K=strike, cfg=emo_cfg)
     # math.cos/sin per point, not np.cos/np.sin, whose last bits can differ by platform
@@ -379,28 +370,28 @@ def rotate(ctx, **flags):
 
 
 @main.command(cls=_Command)
-@click.option("--taus", type=str, default=None, help="Comma-separated times to maturity.")
-@click.option("--zs", type=str, default=None, help="Comma-separated Z levels.")
-@click.option("--xs", type=str, default=None, help="Comma-separated underlying prices.")
-@click.option("--r", type=float, default=None)
-@click.option("--k", "K", type=float, default=None)
-@click.option("--t-horizon", "T", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--mu", type=float, default=None)
-@click.option("--sigma", type=float, default=None)
-@click.option("--w-terminal", "wT", type=float, default=None)
-@click.option("--s-t0", type=float, default=None)
-@click.option("--t-valuation", "t", type=float, default=None)
+@click.option("--taus", type=str, default="0.25,0.5,0.75",
+              help="Comma-separated times to maturity.")
+@click.option("--zs", type=str, default="0.03,0.05,0.08", help="Comma-separated Z levels.")
+@click.option("--xs", type=str, default="50,100,150", help="Comma-separated underlying prices.")
+@click.option("--r", type=float, default=0.05)
+@click.option("--k", "K", type=float, default=math.e**math.e)
+@click.option("--t-horizon", "T", type=float, default=1.0)
+@click.option("--beta", type=float, default=_BETA)
+@click.option("--mu", type=float, default=0.1)
+@click.option("--sigma", type=float, default=0.2)
+@click.option("--w-terminal", "wT", type=float, default=0.3)
+@click.option("--s-t0", type=float, default=100.0)
+@click.option("--t-valuation", "t", type=float, default=1.0)
 @click.pass_context
-def price(ctx, **flags):
+def price(ctx, **cfg):
     """Sweep the pricing engines side by side over a (tau, z, X) grid."""
-    cfg = _settings(ctx, "price", flags)
     fmt = ctx.obj["format"]
 
     try:
-        tau_list = [float(v) for v in str(cfg["taus"]).split(",")]
-        z_list = [float(v) for v in str(cfg["zs"]).split(",")]
-        x_list = [float(v) for v in str(cfg["xs"]).split(",")]
+        tau_list = [float(v) for v in cfg["taus"].split(",")]
+        z_list = [float(v) for v in cfg["zs"].split(",")]
+        x_list = [float(v) for v in cfg["xs"].split(",")]
     except ValueError as e:
         raise click.UsageError(f"bad sweep grid: {e}")
 

@@ -105,9 +105,14 @@ def test_config_file_with_flag_override(runner, tmp_path, command, section, flag
         ("simulate", {"seed": "abc"}, "config seed"),
         ("simulate", {"seed": -1}, "config seed"),
         ("price", {"format": "xml"}, "config format"),
+        # float() of an int beyond the float range raises OverflowError
+        ("price", {"price": {"K": 10**400}}, "config price.K must be float, got 1000"),
+        ("simulate", {"simulate": {"dt": -10**400}}, "config simulate.dt must be float"),
+        ("simulate", {"simulate": {"wide": 5}}, "config simulate.wide must be bool, got 5"),
     ],
     ids=["str_for_float", "str_dt", "float_for_int", "bool_for_float", "null_for_str",
-         "section_not_object", "top_level_seed", "negative_seed", "top_level_format"],
+         "section_not_object", "top_level_seed", "negative_seed", "top_level_format",
+         "int_beyond_float_range", "negative_int_beyond_float_range", "switch_not_0_or_1"],
 )
 def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, config, key):
     cfg = tmp_path / "cfg.json"
@@ -216,7 +221,35 @@ def test_config_numbers_stand_in_for_floats_and_text(runner, tmp_path):
     result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "price"])
     assert result.exit_code == 0, result.output
     rows = read_csv(out / "pricing_sweep.csv")
-    assert [(row["tau"], row["K"], row["error"]) for row in rows] == [("0.5", "20", "")]
+    assert [(row["tau"], row["K"], row["error"]) for row in rows] == [("0.5", "20.0", "")]
+
+
+@pytest.mark.parametrize(
+    "command, section, flags",
+    [
+        ("simulate", {"T": 1, "s0": 100, "dt": 0.01, "n_paths": 2, "wide": 1},
+         ["--t-horizon", "1", "--s0", "100", "--dt", "0.01", "--n-paths", "2", "--wide"]),
+        ("trade", {"l": 2, "beta": 3, "dt": 0.01},
+         ["--long-leverage", "2", "--beta", "3", "--dt", "0.01"]),
+        ("rotate", {"x0": 0, "n": 1000, "theta": "golden", "arcs": 0.25},
+         ["--x0", "0", "--n", "1000", "--theta", "golden", "--arcs", "0.25"]),
+        ("price", {"K": 20, "taus": 0.5, "zs": 0.05, "xs": 100, "T": 1},
+         ["--k", "20", "--taus", "0.5", "--zs", "0.05", "--xs", "100", "--t-horizon", "1"]),
+    ],
+    ids=["simulate", "trade", "rotate", "price"],
+)
+def test_config_run_writes_the_bytes_of_its_flags(runner, tmp_path, command, section, flags):
+    """JSON ints for floats and numbers for text convert as the flags' text does."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({command: section}))
+    runs = {"config": ["--config", str(cfg), command], "flags": [command, *flags]}
+    for name, args in runs.items():
+        result = runner.invoke(main, ["--out", str(tmp_path / name), *args])
+        assert result.exit_code == 0, result.output
+    from_config, from_flags = (sorted((tmp_path / name).iterdir()) for name in runs)
+    assert [p.name for p in from_config] == [p.name for p in from_flags]
+    for a, b in zip(from_config, from_flags):
+        assert a.read_bytes() == b.read_bytes(), a.name
 
 
 def _reject_constant(token):
@@ -421,6 +454,15 @@ class TestSimulate:
         cfg.write_text("{not json")
         result = runner.invoke(main, ["--config", str(cfg), "simulate"])
         assert result.exit_code == 2
+
+    def test_config_int_too_long_to_read_is_usage_error(self, runner, tmp_path):
+        # json.load refuses an int of more than 4300 digits with a ValueError
+        cfg = tmp_path / "long.json"
+        cfg.write_text('{"simulate": {"dt": 1' + "0" * 5000 + "}}")
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                                      "simulate"])
+        assert result.exit_code == 2, result.output
+        assert "cannot read config file" in result.output
 
 
 class TestTrade:
