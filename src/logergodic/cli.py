@@ -2,14 +2,14 @@
 diagnostics, pricing sweeps, and the acceptance suite.
 
 One binary with subcommands (simulate | trade | rotate | price | validate).
-Parameters resolve with precedence flags > config file > defaults: the config
-section of the invoked subcommand is click's default_map, each value converted
-by its option's type as a flag is.  Every run writes a manifest echoing the
+Parameters resolve with precedence flags > config file > defaults: the whole
+config file, checked key by key and each value converted by its option's type
+as a flag is, is click's default_map.  Every run writes a manifest echoing the
 fully resolved configuration, so a run is reproducible from its manifest
 alone.  Each subcommand computes everything before it hands its files to
 `_emit`, which creates the output directory and writes them and the manifest,
-so a run that fails writes nothing.  Exit codes: 0 success, 1 validation
-failure, 2 usage/config error.
+so a run that fails before its first write writes nothing.  Exit codes: 0
+success, 1 validation failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -35,23 +35,11 @@ _BETA = 2.0
 _FLAGS_ONLY = {"input_path", "literal_indicator"}  # options no config file sets
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: bad JSON or an int of over 4300 digits
-        raise click.UsageError(f"cannot read config file {path}: {e}")
-    if not isinstance(cfg, dict):
-        raise click.UsageError(f"config file {path} must contain a JSON object")
-    return cfg
-
-
-def _fits(value, default) -> bool:
-    """Whether a config-file value can stand in for `default`: a JSON int
+def _fits(value, param) -> bool:
+    """Whether a config-file value can stand in for param's default: a JSON int
     within the float range may stand for a float, true/false/0/1 for a switch,
-    and a number for a list or theta text."""
+    and a number for free text such as a list or theta."""
+    default = param.default
     if isinstance(default, bool):
         return isinstance(value, int) and value in (0, 1)
     if isinstance(value, bool):
@@ -61,7 +49,47 @@ def _fits(value, default) -> bool:
     if isinstance(default, float):  # float() of a larger int raises OverflowError
         return isinstance(value, float) or (isinstance(value, int)
                                             and abs(value) <= sys.float_info.max)
-    return isinstance(value, (str, int, float))
+    return isinstance(value, str) or param.type is click.STRING and isinstance(value, (int, float))
+
+
+def _default_map(ctx, command, config: dict, name: str = "") -> dict:
+    """config checked against command's options and subcommands, each value
+    cast by its option's type: a key that names no setting is refused."""
+    params = {param.name: param for param in command.params if param.expose_value}
+    commands = getattr(command, "commands", {})
+    settings = {}
+    for key, value in config.items():
+        param, where = params.get(key), f"config {name}{key}"
+        if key in commands:
+            if not isinstance(value, dict):
+                raise click.UsageError(f"{where} must be a JSON object, got {value!r}")
+            settings[key] = _default_map(ctx, commands[key], value, f"{name}{key}.")
+        elif param is None:
+            raise click.UsageError(f"{where} names no setting")
+        elif key in _FLAGS_ONLY:
+            raise click.UsageError(f"{where} is flag only")
+        elif not _fits(value, param):
+            raise click.UsageError(f"{where} must be {type(param.default).__name__}, got {value!r}")
+        else:
+            try:  # click's BOOL takes text or a bool, so a 0/1 switch is made a bool
+                settings[key] = param.type_cast_value(
+                    ctx, bool(value) if isinstance(param.default, bool) else value)
+            except click.BadParameter as e:
+                raise click.UsageError(f"{where}: {e.message}")
+    return settings
+
+
+def _read_config(ctx, param, path: str | None) -> None:
+    """--config, read first: its checked settings are the default_map of every option."""
+    if path:
+        try:
+            with open(path) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as e:  # ValueError: bad JSON or an int of over 4300 digits
+            raise click.UsageError(f"cannot read config file {path}: {e}")
+        if not isinstance(config, dict):
+            raise click.UsageError(f"config file {path} must contain a JSON object")
+        ctx.default_map = _default_map(ctx, ctx.command, config)
 
 
 def _finite(obj):
@@ -107,8 +135,11 @@ def _emit(ctx, command: str, resolved: dict, files: dict) -> Path:
     manifest = {"command": command, "config": resolved,
                 "outputs": sorted([*files, "manifest.json"])}
     for name, write in {**files, "manifest.json": _json(manifest, sort_keys=True)}.items():
-        with open(out / name, "w", newline="") as fh:
-            write(fh)
+        try:
+            with open(out / name, "w", newline="") as fh:
+                write(fh)
+        except OSError as e:  # the files written before stay
+            raise click.UsageError(f"cannot write {out / name}: {e.strerror}") from None
     return out
 
 
@@ -127,44 +158,18 @@ class _Command(click.Command):
 
 
 @click.group()
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="JSON config file; flags override its entries.")
-@click.option("--seed", type=click.IntRange(min=0), default=None,
+@click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
+              callback=_read_config, help="JSON config file; flags override its entries.")
+@click.option("--seed", type=click.IntRange(min=0), default=0,
               help="Master seed, a non-negative integer (default 0).")
-@click.option("--out", "out_dir", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(), default="out",
               help="Output directory (default ./out).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None,
+@click.option("--format", type=click.Choice(["csv", "json"]), default="csv",
               help="Table output format (default csv).")
 @click.pass_context
-def main(ctx, config_path, seed, out_dir, fmt):
+def main(ctx, **settings):
     """Log-ergodic process toolkit: simulation, trade timing, and pricing."""
-    config = _load_config(config_path)
-    config_seed = config.get("seed", 0)
-    for key, ok in (("seed", _fits(config_seed, 0) and config_seed >= 0),
-                    ("out", isinstance(config.get("out", "out"), str)),
-                    ("format", config.get("format", "csv") in ("csv", "json"))):
-        if not ok:
-            raise click.UsageError(f"config {key} cannot be {config[key]!r}")
-    name = ctx.invoked_subcommand
-    defaults = {param.name: param.default for param in ctx.command.commands[name].params
-                if param.name not in _FLAGS_ONLY}
-    section = config.get(name, {}) if defaults else {}
-    if not isinstance(section, dict):
-        raise click.UsageError(f"config {name} must be a JSON object, got {section!r}")
-    for key, default in defaults.items():
-        if key in section and not _fits(section[key], default):
-            raise click.UsageError(f"config {name}.{key} must be {type(default).__name__}, "
-                                   f"got {section[key]!r}")
-    # click resolves flag > config > default and converts a config value by its
-    # option's type; its BOOL takes text or a bool, so a 0/1 switch is made a bool
-    ctx.default_map = {name: {
-        key: bool(section[key]) if isinstance(default, bool) else section[key]
-        for key, default in defaults.items() if key in section}}
-    ctx.obj = {
-        "seed": seed if seed is not None else config.get("seed", 0),
-        "out": out_dir if out_dir is not None else config.get("out", "out"),
-        "format": fmt if fmt is not None else config.get("format", "csv"),
-    }
+    ctx.obj = settings
 
 
 def _rational_neighbour(theta: float, n: int) -> tuple[int, int] | None:

@@ -109,10 +109,24 @@ def test_config_file_with_flag_override(runner, tmp_path, command, section, flag
         ("price", {"price": {"K": 10**400}}, "config price.K must be float, got 1000"),
         ("simulate", {"simulate": {"dt": -10**400}}, "config simulate.dt must be float"),
         ("simulate", {"simulate": {"wide": 5}}, "config simulate.wide must be bool, got 5"),
+        # a key that names no setting, in any section, and a flags-only key
+        ("price", {"price": {"k": 20}}, "config price.k names no setting"),
+        ("price", {"simulat": {}}, "config simulat names no setting"),
+        ("price", {"sed": 5}, "config sed names no setting"),
+        ("trade", {"trade": {"input_path": "x.csv"}}, "config trade.input_path is flag only"),
+        ("trade", {"trade": {"literal_indicator": True}},
+         "config trade.literal_indicator is flag only"),
+        ("validate", {"validate": {"x": 1}}, "config validate.x names no setting"),
+        # the whole file is checked, not only the section of the subcommand run
+        ("price", {"trade": {"beta": "2.5"}}, "config trade.beta must be float"),
+        ("price", {"price": {}, "rotate": {"n": 1.5}}, "config rotate.n must be int"),
     ],
     ids=["str_for_float", "str_dt", "float_for_int", "bool_for_float", "null_for_str",
          "section_not_object", "top_level_seed", "negative_seed", "top_level_format",
-         "int_beyond_float_range", "negative_int_beyond_float_range", "switch_not_0_or_1"],
+         "int_beyond_float_range", "negative_int_beyond_float_range", "switch_not_0_or_1",
+         "unknown_key", "unknown_section", "unknown_top_level_key", "flag_only_input",
+         "flag_only_switch", "key_in_section_without_settings", "other_section_wrong_type",
+         "other_section_float_for_int"],
 )
 def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, config, key):
     cfg = tmp_path / "cfg.json"
@@ -120,6 +134,24 @@ def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, command, co
     result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), command])
     assert result.exit_code == 2, result.output
     assert key in result.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_global_settings_resolve_as_flags(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "format": "json", "out": str(tmp_path / "D"),
+                               "trade": {"dt": 0.01}}))
+    flags = ["--seed", "4", "--format", "csv", "--out", str(tmp_path / "D2")]
+    for name, extra, seed, fmt in [("D", [], 3, "json"), ("D2", flags, 4, "csv")]:
+        result = runner.invoke(main, ["--config", str(cfg), *extra, "trade"])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == seed
+        assert {f"signals.{fmt}", f"bound_report.{fmt}"} <= set(manifest["outputs"])
+        assert manifest["outputs"] == sorted(p.name for p in out.iterdir())
+    # the flags' run wrote only its own directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "D2", "cfg.json"]
 
 
 @pytest.mark.parametrize(
@@ -250,6 +282,18 @@ def test_config_run_writes_the_bytes_of_its_flags(runner, tmp_path, command, sec
     assert [p.name for p in from_config] == [p.name for p in from_flags]
     for a, b in zip(from_config, from_flags):
         assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_failed_write_is_usage_error(runner, tmp_path):
+    out = tmp_path / "o"
+    (out / "manifest.json").mkdir(parents=True)
+    result = runner.invoke(main, ["--out", str(out), "price", "--taus", "0.5", "--zs", "0.05",
+                                  "--xs", "100"])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1] == (
+        f"Error: cannot write {out / 'manifest.json'}: Is a directory")
+    # the files written before the failed write stay
+    assert (out / "pricing_sweep.csv").is_file()
 
 
 def _reject_constant(token):
