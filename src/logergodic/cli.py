@@ -92,6 +92,14 @@ def _read_config(ctx, param, path: str | None) -> None:
         ctx.default_map = _default_map(ctx, ctx.command, config)
 
 
+def _nonempty(ctx, param, value: str) -> str:
+    """--out, refused when empty: Path("") is the working directory, and an
+    empty value is more likely an unset variable than a request for it."""
+    if not value:
+        raise click.BadParameter("must not be empty; '.' is the working directory")
+    return value
+
+
 def _finite(obj):
     """obj with each non-finite float as None: JSON null, not the non-standard NaN."""
     if isinstance(obj, float):
@@ -122,24 +130,54 @@ def _table(stem: str, columns: dict, fmt: str) -> dict:
     return {f"{stem}.csv": lambda fh: stochastic._write_csv(fh, header, columns.values())}
 
 
+def _figures(t: np.ndarray, price: np.ndarray, z: np.ndarray, taus: np.ndarray) -> dict:
+    """trade's figure tables, fig1_price (t, price) and fig2_zprocess (t, z,
+    recurrence 0) with a marker row (tau, 0.0, 1) after the grid row of each
+    recurrence time, written in one pass over t that formats each time once.
+
+    t and taus are sorted, and no tau is before t[0]."""
+    at = np.searchsorted(t, taus, "right")  # a marker follows grid row at - 1
+    marks = [f"\r\n{tau!r},0.0,1" for tau in taus.tolist()]
+
+    def chunk(i, j):
+        times = list(map(repr, t[i:j].tolist()))
+        fig1 = map(",".join, zip(times, map(repr, price[i:j].tolist())))
+        fig2 = list(map(",".join, zip(times, map(repr, z[i:j].tolist()), itertools.repeat("0"))))
+        lo, hi = np.searchsorted(at, [i, j], "right")
+        for k, mark in zip(at[lo:hi].tolist(), marks[lo:hi]):
+            fig2[k - 1 - i] += mark
+        return "\r\n".join(fig1) + "\r\n", "\r\n".join(fig2) + "\r\n"
+
+    def write(*paths):
+        stochastic._write_tables(paths, ("t,price\r\n", "t,z,recurrence\r\n"), len(t), chunk)
+    return {("fig1_price.csv", "fig2_zprocess.csv"): write}
+
+
 def _emit(ctx, command: str, resolved: dict, files: dict) -> Path:
     """Create --out, write each file, then the manifest that lists them.
 
-    `files` maps a file name to a function that writes it to an open text file.
+    `files` maps a file name to a function that writes it to an open text
+    file, or a tuple of several names to one that writes those files at the
+    paths it is given.
     """
     out = Path(ctx.obj["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise click.UsageError(f"cannot create output directory {ctx.obj['out']}: {e}")
+    files = {(key,) if isinstance(key, str) else key: write for key, write in files.items()}
     manifest = {"command": command, "config": resolved,
-                "outputs": sorted([*files, "manifest.json"])}
-    for name, write in {**files, "manifest.json": _json(manifest, sort_keys=True)}.items():
+                "outputs": sorted([*itertools.chain(*files), "manifest.json"])}
+    for names, write in {**files, ("manifest.json",): _json(manifest, sort_keys=True)}.items():
         try:
-            with open(out / name, "w", newline="") as fh:
-                write(fh)
+            if len(names) > 1:
+                write(*(out / name for name in names))
+            else:
+                with open(out / names[0], "w", newline="") as fh:
+                    write(fh)
         except OSError as e:  # the files written before stay
-            raise click.UsageError(f"cannot write {out / name}: {e.strerror}") from None
+            raise click.UsageError(
+                f"cannot write {e.filename or out / names[0]}: {e.strerror}") from None
     return out
 
 
@@ -162,7 +200,7 @@ class _Command(click.Command):
               callback=_read_config, help="JSON config file; flags override its entries.")
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               help="Master seed, a non-negative integer (default 0).")
-@click.option("--out", type=click.Path(), default="out",
+@click.option("--out", type=click.Path(), default="out", callback=_nonempty,
               help="Output directory (default ./out).")
 @click.option("--format", type=click.Choice(["csv", "json"]), default="csv",
               help="Table output format (default csv).")
@@ -281,22 +319,14 @@ def trade(ctx, input_path, literal_indicator, **cfg):
         "fraction_flagged": float(bounds["flagged"].mean()) if len(exc) else 0.0,
     }
 
-    # figure data: price path, and Z with recurrence markers at the level
-    t = grid.times()
-    # t and taus are sorted: merge, with each marker after a grid row at its time
-    at = np.searchsorted(t, rec.taus, "right")
-    fig_t = np.insert(t, at, rec.taus)
-    fig_z = np.insert(z.values, at, 0.0)
-    mark = np.insert(np.zeros(len(t), dtype=int), at, 1)
-
     resolved = {**cfg, "T": grid.T, "dt": grid.dt, "literal_indicator": literal_indicator,
                 "seed": seed, "input": input_path}
     out = _emit(ctx, "trade", resolved, {
         **_table("signals", trading.generate_signals(exc), fmt),
         **_table("bound_report", bounds, fmt),
         "summary.json": _json(summary),
-        **_table("fig1_price", {"t": t, "price": price.values}, "csv"),
-        **_table("fig2_zprocess", {"t": fig_t, "z": fig_z, "recurrence": mark}, "csv"),
+        # figure data: price path, and Z with recurrence markers at the level
+        **_figures(grid.times(), price.values, z.values, rec.taus),
     })
     click.echo(f"{len(exc)} excursion(s), profit {profit:.6f}; wrote {out}")
 

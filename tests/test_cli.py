@@ -33,6 +33,7 @@ from logergodic import (
     validation,
     write_path_csv,
 )
+from logergodic import cli, stochastic
 from logergodic.cli import _rational_neighbour, main
 from logergodic.validation import CriterionResult
 
@@ -224,6 +225,27 @@ def test_non_finite_theta_is_usage_error(tmp_path, theta):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork") or stochastic._cpu_count() < 2,
+                    reason="the figure rows split across CPUs only with os.fork and 2 CPUs")
+def test_forked_figure_writers_run_silently_with_deprecations_as_errors(tmp_path):
+    """Python 3.12+ warns with a DeprecationWarning when a process with
+    threads forks, and NumPy's BLAS starts threads: a trade whose figure rows
+    split across two writers stays silent with that warning made an error."""
+    rows = 2 * stochastic._FORK_MIN_ROWS  # a power of two: dt = 1 / rows is exact
+    grid = TimeGrid(T=1.0, dt=1.0 / rows)
+    price = simulate_gbm(TestArtefactFormat.params, simulate_wiener(grid, path_seed(2, 0)))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-m", "logergodic.cli", "--seed", "2",
+         "--out", str(tmp_path / "o"), "trade", "--dt", repr(grid.dt)],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout.count("excursion(s)") == 1, result.stdout
+    assert (tmp_path / "o" / "fig1_price.csv").read_bytes() == expected_csv(
+        ["t", "price"], floats(grid.times()), floats(price.values))
+    assert not list((tmp_path / "o").glob("*.part*"))
+
+
 def test_console_script_runs_the_cli(tmp_path):
     """The `logergodic` command, run as the wrapper that pip writes for the
     [project.scripts] entry of pyproject.toml."""
@@ -296,6 +318,18 @@ def test_failed_write_is_usage_error(runner, tmp_path):
     assert (out / "pricing_sweep.csv").is_file()
 
 
+@pytest.mark.parametrize("args", [["--out", ""], ["--config", "cfg.json"]], ids=["flag", "config"])
+def test_empty_out_is_usage_error(runner, tmp_path, args):
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+        Path("cfg.json").write_text(json.dumps({"out": ""}))
+        result = runner.invoke(main, [*args, "price", "--taus", "0.5", "--zs", "0.05",
+                                      "--xs", "100"])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--out': must not be empty" in result.output
+        # Path("") is the working directory: nothing is written there
+        assert os.listdir(cwd) == ["cfg.json"]
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -366,6 +400,33 @@ def test_json_artefacts_are_strict_json(runner, tmp_path, args):
         json.loads((out / name).read_text(), parse_constant=_reject_constant)
 
 
+def force_writers(monkeypatch, workers: int, chunk_rows: int | None = None) -> list:
+    """Have the figure writer cut its rows into as many as `workers` blocks,
+    whatever the CPUs and however few the rows; return the list of the part
+    files of each forked writer, filled as they start."""
+    if workers > 1 and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(stochastic, "_FORK_MIN_ROWS", 1)
+    if chunk_rows:
+        monkeypatch.setattr(stochastic, "_CHUNK_ROWS", chunk_rows)
+    forked = []
+    fork_writer = stochastic._fork_writer
+
+    def spy(paths, texts):
+        forked.append(paths)
+        return fork_writer(paths, texts)
+    monkeypatch.setattr(stochastic, "_fork_writer", spy)
+    return forked
+
+
+def assert_writers_gone(out: Path) -> None:
+    """No part file is left in out, and no child process is left unreaped."""
+    assert not list(out.glob("*.part*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestArtefactFormat:
     """The figure and path CSVs, rebuilt from the library arrays."""
 
@@ -398,7 +459,9 @@ class TestArtefactFormat:
         assert (tmp_path / "fig2_zprocess.csv").read_bytes() == fig2_bytes(
             grid.times(), z.values, detect_recurrences(z).taus)
 
-    def test_trade_figure_marks_follow_grid_rows_at_equal_times(self, runner, tmp_path):
+    def tie_input(self, tmp_path):
+        """A price CSV whose recurrences tie with the grid times 0, 0.5 and 1,
+        rows 0, 100 and 200; return its path, t, Z and the recurrence times."""
         # W = 0.5 sin(6 pi t), set to exactly 0 at t = 0, 0.5 and 1: Z is at
         # the level on those grid points, so recurrences tie with grid times
         grid = TimeGrid(T=1.0, dt=0.005)
@@ -415,10 +478,91 @@ class TestArtefactFormat:
         z = construct_z_gbm(self.params, wiener, beta=2.0)
         taus = detect_recurrences(z).taus
         assert {0.0, 0.5, 1.0} <= set(floats(taus))
+        return src, t, z, taus
+
+    def test_trade_figure_marks_follow_grid_rows_at_equal_times(self, runner, tmp_path):
+        src, t, z, taus = self.tie_input(tmp_path)
         result = runner.invoke(main, ["--out", str(tmp_path / "o"), "trade", "--input", str(src)])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "o" / "fig2_zprocess.csv").read_bytes() == fig2_bytes(
             t, z.values, taus)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_trade_figures_do_not_depend_on_writers(self, runner, tmp_path, monkeypatch,
+                                                     workers):
+        forked = force_writers(monkeypatch, workers)
+        grid = TimeGrid(T=1.0, dt=1e-4)  # 10001 rows: three chunks
+        w = simulate_wiener(grid, path_seed(2, 0))
+        price = simulate_gbm(self.params, w)
+        z = construct_z_gbm(self.params, w, beta=2.0)
+        result = runner.invoke(main, ["--seed", "2", "--out", str(tmp_path), "trade",
+                                      "--dt", "0.0001"])
+        assert result.exit_code == 0, result.output
+        assert len(forked) == workers - 1
+        assert result.output.count("excursion(s)") == 1
+        assert (tmp_path / "fig1_price.csv").read_bytes() == expected_csv(
+            ["t", "price"], floats(grid.times()), floats(price.values))
+        assert (tmp_path / "fig2_zprocess.csv").read_bytes() == fig2_bytes(
+            grid.times(), z.values, detect_recurrences(z).taus)
+        assert_writers_gone(tmp_path)
+
+    def test_trade_figure_marks_at_equal_times_on_block_edges(self, runner, tmp_path,
+                                                              monkeypatch):
+        # with 100-row chunks and three writers the blocks are rows 0-99,
+        # 100-199 and 200: the tied recurrences at t = 0, 0.5 and 1 follow
+        # the first row of each block, and t = 1 is a block of one row
+        forked = force_writers(monkeypatch, 3, chunk_rows=100)
+        src, t, z, taus = self.tie_input(tmp_path)
+        result = runner.invoke(main, ["--out", str(tmp_path / "o"), "trade", "--input", str(src)])
+        assert result.exit_code == 0, result.output
+        assert len(forked) == 2
+        assert (tmp_path / "o" / "fig2_zprocess.csv").read_bytes() == fig2_bytes(
+            t, z.values, taus)
+        assert_writers_gone(tmp_path / "o")
+
+    @pytest.mark.parametrize("marked", [True, False], ids=["markers", "no_recurrence"])
+    @pytest.mark.parametrize("rows", [2 * stochastic._CHUNK_ROWS + d for d in (-1, 0, 1)])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_figure_markers_on_block_edges(self, tmp_path, monkeypatch, workers, rows, marked):
+        """Blocks of _CHUNK_ROWS and _CHUNK_ROWS +- 1 rows, with markers at
+        t = 0, at t = T, tied with the first and the last row of each chunk,
+        between two blocks, and two after one grid row."""
+        forked = force_writers(monkeypatch, workers)
+        chunk = stochastic._CHUNK_ROWS
+        rng = np.random.default_rng(rows)
+        t = np.linspace(0.0, 1.0, rows)
+        price = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, rows)))
+        z = rng.normal(0.0, 1.0, rows)
+        edges = [k for k in range(chunk, rows, chunk)]
+        taus = np.sort(np.concatenate((
+            t[[0, -1, *edges, *(k - 1 for k in edges)]],
+            (t[[k - 1 for k in edges]] + t[edges]) / 2,
+            t[5] + (t[6] - t[5]) * np.array([1 / 3, 2 / 3])))) if marked else np.array([])
+        names = ("fig1_price.csv", "fig2_zprocess.csv")
+        cli._figures(t, price, z, taus)[names](*(tmp_path / name for name in names))
+        assert len(forked) == min(workers, -(-rows // chunk)) - 1
+        assert (tmp_path / names[0]).read_bytes() == expected_csv(
+            ["t", "price"], floats(t), floats(price))
+        assert (tmp_path / names[1]).read_bytes() == fig2_bytes(t, z, taus)
+        assert_writers_gone(tmp_path)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("link, failed", [("fig1_price.csv", "fig1_price.csv"),
+                                              ("fig2_zprocess.csv.part1", "fig2_zprocess.csv")],
+                             ids=["parent", "child"])
+    def test_failed_figure_write_is_usage_error(self, runner, tmp_path, monkeypatch, link,
+                                                 failed):
+        force_writers(monkeypatch, 2)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / link).symlink_to("/dev/full")  # every write to it fails with ENOSPC
+        result = runner.invoke(main, ["--seed", "2", "--out", str(out), "trade",
+                                      "--dt", "0.0001"])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[-1] == (
+            f"Error: cannot write {out / failed}: No space left on device")
+        assert "excursion(s)" not in result.output
+        assert_writers_gone(out)
 
     def test_table_with_no_rows_keeps_its_header(self, runner, tmp_path):
         result = runner.invoke(main, ["--out", str(tmp_path), "trade"])  # seed 0: no excursion
