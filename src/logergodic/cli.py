@@ -14,6 +14,7 @@ success, 1 validation failure, 2 usage/config error.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -141,24 +142,22 @@ def _figures(t: np.ndarray, price: np.ndarray, z: np.ndarray, taus: np.ndarray) 
 
     def chunk(i, j):
         times = list(map(repr, t[i:j].tolist()))
-        fig1 = map(",".join, zip(times, map(repr, price[i:j].tolist())))
         fig2 = list(map(",".join, zip(times, map(repr, z[i:j].tolist()), itertools.repeat("0"))))
         lo, hi = np.searchsorted(at, [i, j], "right")
         for k, mark in zip(at[lo:hi].tolist(), marks[lo:hi]):
             fig2[k - 1 - i] += mark
-        return "\r\n".join(fig1) + "\r\n", "\r\n".join(fig2) + "\r\n"
+        return stochastic._lines(times, map(repr, price[i:j].tolist())), stochastic._lines(fig2)
 
-    def write(*paths):
-        stochastic._write_tables(paths, ("t,price\r\n", "t,z,recurrence\r\n"), len(t), chunk)
+    def write(*files):
+        stochastic._write_tables(files, ("t,price\r\n", "t,z,recurrence\r\n"), len(t), chunk)
     return {("fig1_price.csv", "fig2_zprocess.csv"): write}
 
 
 def _emit(ctx, command: str, resolved: dict, files: dict) -> Path:
     """Create --out, write each file, then the manifest that lists them.
 
-    `files` maps a file name to a function that writes it to an open text
-    file, or a tuple of several names to one that writes those files at the
-    paths it is given.
+    `files` maps a file name, or a tuple of names, to a function that writes
+    those files, given them open as text files in that order.
     """
     out = Path(ctx.obj["out"])
     try:
@@ -170,11 +169,8 @@ def _emit(ctx, command: str, resolved: dict, files: dict) -> Path:
                 "outputs": sorted([*itertools.chain(*files), "manifest.json"])}
     for names, write in {**files, ("manifest.json",): _json(manifest, sort_keys=True)}.items():
         try:
-            if len(names) > 1:
-                write(*(out / name for name in names))
-            else:
-                with open(out / names[0], "w", newline="") as fh:
-                    write(fh)
+            with contextlib.ExitStack() as stack:
+                write(*[stack.enter_context(open(out / name, "w", newline="")) for name in names])
         except OSError as e:  # the files written before stay
             raise click.UsageError(
                 f"cannot write {e.filename or out / names[0]}: {e.strerror}") from None
@@ -389,7 +385,8 @@ def rotate(ctx, **cfg):
     strike = 0.5 * float(np.min(price.values))
     theta = rotation.theta_process(z, price, K=strike, cfg=emo_cfg)
     # math.cos/sin per point, not np.cos/np.sin, whose last bits can differ by platform
-    angle = (2 * math.pi * np.mod(theta, 1.0)).tolist()
+    circle_x, circle_y = np.array([(math.cos(a), math.sin(a))
+                                   for a in (2 * math.pi * np.mod(theta, 1.0)).tolist()]).T
     out = _emit(ctx, "rotate", {**cfg, "seed": seed}, {
         **_table("equidistribution", {"a": a, "b": b, "frequency": freq, "target": b - a,
                                       "abs_error": np.abs(freq - (b - a))}, fmt),
@@ -398,8 +395,7 @@ def rotate(ctx, **cfg):
         **_table("birkhoff", {"function": list(phis), "average": avg, "target": integral,
                               "abs_error": np.abs(avg - integral)}, fmt),
         **_table("fig3_circle", {"t": grid.times(), "price": price.values, "theta": theta,
-                                 "circle_x": map(math.cos, angle),
-                                 "circle_y": map(math.sin, angle)}, "csv"),
+                                 "circle_x": circle_x, "circle_y": circle_y}, "csv"),
     })
     click.echo(f"wrote rotation diagnostics to {out}")
 

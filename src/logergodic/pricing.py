@@ -170,8 +170,8 @@ def derive_coefficients(inputs: PricingInputs) -> DerivedCoefficients:
     if not in_range:
         raise ValueError(
             f"T = {inputs.T}, tau = {inputs.tau}, beta = {inputs.beta}, mu = {inputs.mu}, "
-            f"sigma = {inputs.sigma}, r = {inputs.r} and z = {inputs.z} put the pricing "
-            "coefficients outside the float range")
+            f"sigma = {inputs.sigma}, wT = {inputs.wT}, r = {inputs.r} and z = {inputs.z} put "
+            "the pricing coefficients outside the float range")
     return c
 
 
@@ -217,7 +217,10 @@ def price_ergodic_bs(inputs: PricingInputs) -> PriceResult:
     """
     c = derive_coefficients(inputs)
     payoff = abs(inputs.z) - math.log(inputs.K)
-    d = math.log(inputs.X / math.log(inputs.K)) / math.sqrt(2.0 * c.p * c.lam)
+    ratio = inputs.X / math.log(inputs.K)
+    if ratio == 0.0:
+        raise ValueError(f"X = {inputs.X} over ln K = {math.log(inputs.K)} underflows to 0")
+    d = math.log(ratio) / math.sqrt(2.0 * c.p * c.lam)
     return _price_result(_valuation_price(inputs, c, payoff, normal_cdf(d)), payoff)
 
 
@@ -259,6 +262,8 @@ def heat_kernel(y, tau: float, eta: float):
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
     var = tau * eta
+    if var == 0.0:
+        raise ValueError(f"tau = {tau} times eta = {eta} underflows to 0")
     y = np.asarray(y, dtype=float)
     out = np.exp(-(y**2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
     return float(out) if out.ndim == 0 else out

@@ -44,6 +44,11 @@ class TrigPolynomial:
         self.c0 = float(c0)
         self.cos_coeffs = tuple(float(c) for c in cos_coeffs)
         self.sin_coeffs = tuple(float(c) for c in sin_coeffs)
+        for name, value in [("c0", self.c0),
+                            *((f"cos_coeffs[{m}]", c) for m, c in enumerate(self.cos_coeffs)),
+                            *((f"sin_coeffs[{m}]", c) for m, c in enumerate(self.sin_coeffs))]:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def integral(self) -> float:

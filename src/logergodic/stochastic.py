@@ -11,10 +11,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import itertools
 import math
 import os
 import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -216,9 +216,9 @@ def _rows(columns):
     return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
 
 
-def _write_lines(fh: IO[str], fields) -> None:
-    """Write one CSV line per row of the field-string columns `fields` (non-empty)."""
-    fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+def _lines(*fields) -> str:
+    """The CSV lines of the field-string columns `fields` (non-empty)."""
+    return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
 
 
 def _write_csv(fh: IO[str], header: list[str], columns) -> None:
@@ -226,18 +226,19 @@ def _write_csv(fh: IO[str], header: list[str], columns) -> None:
 
     The bytes are those of `csv.writer`: CRLF line ends, floats as `repr`,
     ints in decimal, other fields quoted as QUOTE_MINIMAL.  When every column
-    is an int or float array, rows are formatted in chunks of _CHUNK_ROWS and
-    joined directly, since such fields never need quoting; any other table,
-    with a string, bool, None or iterator column, goes through `csv.writer`.
+    is an int or float array, `_write_tables` writes the rows and the header
+    is joined directly, since such fields, and the column names the program
+    gives, never need quoting; any other table, with a string, bool, None or
+    iterator column, goes through `csv.writer`.
     """
     columns = list(columns)
+    if all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns):
+        _write_tables([fh], [",".join(header) + "\r\n"], min(map(len, columns), default=0),
+                      lambda i, j: (_lines(*(map(repr, c[i:j].tolist()) for c in columns)),))
+        return
     writer = csv.writer(fh)
     writer.writerow(header)
-    if not all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns):
-        writer.writerows(_rows(columns))
-        return
-    for i in range(0, min(map(len, columns), default=0), _CHUNK_ROWS):
-        _write_lines(fh, [map(repr, c[i:i + _CHUNK_ROWS].tolist()) for c in columns])
+    writer.writerows(_rows(columns))
 
 
 # the fewest rows a forked writer takes.  trade's figure tables, 2 blocks
@@ -251,38 +252,29 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-@contextlib.contextmanager
-def _naming(path):
-    """Raise an OSError of the block again with `path` as its file name."""
+def _write(files, texts, finals, parts=()) -> None:
+    """Write each tuple of `texts`, its k-th string to the open text file
+    files[k], then append the bytes of the k-th file of each block of `parts`,
+    and flush; an OSError is raised again naming finals[k], the final file."""
+    k = 0
     try:
-        yield
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, path) from None
-
-
-def _write_block(paths, texts) -> None:
-    """Write each tuple of `texts`, its k-th string to a new file at paths[k];
-    an OSError names the file it came from."""
-    files = []
-    try:
-        for path in paths:
-            files.append((path, open(path, "w", newline="")))
         for row in texts:
-            for (path, fh), text in zip(files, row):
-                with _naming(path):
-                    fh.write(text)
-        for path, fh in files:
-            with _naming(path):
-                fh.close()  # flushes: a full disk may show only here
-    finally:
-        for path, fh in files:  # after a failure, whose error is the one raised
-            with contextlib.suppress(OSError):
-                fh.close()
+            for k, (fh, text) in enumerate(zip(files, row)):
+                fh.write(text)
+            del row, text  # so that the next chunk is formatted with this one freed
+        for k, fh in enumerate(files):
+            fh.flush()  # a full disk may show only here
+            for block in parts:
+                block[k].seek(0)
+                shutil.copyfileobj(block[k].buffer, fh.buffer)
+            fh.flush()
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, getattr(finals[k], "name", None)) from None
 
 
-def _fork_writer(paths, texts) -> tuple[int, int]:
-    """Fork a child that runs _write_block(paths, texts) and exits; return its
-    pid and the read end of a pipe that carries its OSError, if any."""
+def _fork_writer(files, texts, finals) -> tuple[int, int]:
+    """Fork a child that runs _write(files, texts, finals) and exits; return
+    its pid and the read end of a pipe that carries its OSError, if any."""
     read, write = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -301,41 +293,45 @@ def _fork_writer(paths, texts) -> tuple[int, int]:
     status = 1
     try:  # the child never returns: os._exit skips the parent's buffers and handlers
         os.close(read)
-        _write_block(paths, texts)
+        _write(files, texts, finals)
         status = 0
     except OSError as e:
-        os.write(write, f"{paths.index(e.filename)}\0{e.errno}\0{e.strerror}".encode())
+        os.write(write, f"{e.errno}\0{e.strerror}\0{e.filename}".encode())
     finally:
         os._exit(status)
 
 
-def _reap(pid: int, read: int, paths) -> OSError | None:
-    """Wait for a child of _fork_writer; return its failure, naming the file
-    of `paths` that stands for the one it wrote, or None."""
+def _reap(pid: int, read: int, finals) -> OSError | None:
+    """Wait for a child of _fork_writer; return its failure, which names one
+    of the files `finals`, or None."""
     with open(read, "rb") as fh:
         report = fh.read()  # ends when the child exits
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if report:
-        k, errno, strerror = report.decode().split("\0")
-        return OSError(int(errno), strerror, paths[int(k)])
-    return OSError(None, f"its writer exited with status {status}", paths[0]) if status else None
+        errno, strerror, filename = report.decode().split("\0")
+        return OSError(int(errno), strerror, filename)
+    return (OSError(None, f"its writer exited with status {status}", finals[0].name)
+            if status else None)
 
 
-def _write_tables(paths, headers, n_rows: int, chunk) -> None:
-    """Write tables of n_rows rows, one to each file at `paths`: file k gets
-    headers[k], then chunk(i, j)[k], the text of rows i to j - 1, for each
-    _CHUNK_ROWS rows in order.
+def _write_tables(files, headers, n_rows: int, chunk) -> None:
+    """Write tables of n_rows rows, one to each open text file of `files`:
+    file k gets headers[k], then chunk(i, j)[k], the text of rows i to j - 1,
+    for each _CHUNK_ROWS rows in order.  An OSError names the file of
+    `files` it met.
 
-    The rows are cut into contiguous chunk-aligned blocks, one per CPU that
-    this process may use while each block keeps _FORK_MIN_ROWS rows.  Each
-    block after the first is written by a forked child into part files
-    beside the final ones, '<path>.part<b>'; the parent writes block 0 into
-    the final files, reaps every child and appends the parts in order.  With
-    one block, or without os.fork, the parent writes every row.  The bytes do
-    not depend on the number of blocks, and no part file outlives the call.
+    When every file has a path, the rows are cut into contiguous
+    chunk-aligned blocks, one per CPU that this process may use while each
+    block keeps _FORK_MIN_ROWS rows.  Each block after the first is written
+    by a forked child into unnamed temporary files, opened before the fork
+    in the directories of the final ones; the parent writes block 0, reaps
+    every child and appends their files in order.  With one block, the
+    parent writes every row.  The bytes do not depend on the number of
+    blocks.
     """
     n_chunks = -(-n_rows // _CHUNK_ROWS)
-    workers = max(1, min(_cpu_count() if hasattr(os, "fork") else 1, n_chunks,
+    named = all(isinstance(getattr(fh, "name", None), str) for fh in files)
+    workers = max(1, min(_cpu_count() if named and hasattr(os, "fork") else 1, n_chunks,
                          n_rows // _FORK_MIN_ROWS))
     bounds = [min(n_rows, b * n_chunks // workers * _CHUNK_ROWS) for b in range(workers + 1)]
 
@@ -345,26 +341,20 @@ def _write_tables(paths, headers, n_rows: int, chunk) -> None:
         for i in range(start, stop, _CHUNK_ROWS):
             yield chunk(i, min(i + _CHUNK_ROWS, stop))
 
-    parts = [[f"{path}.part{b}" for path in paths] for b in range(1, workers)]
-    children = []
-    try:
+    with contextlib.ExitStack() as stack:  # closing a temporary file deletes it
+        parts = [[stack.enter_context(tempfile.TemporaryFile(
+                      "w+", encoding=fh.encoding, newline="", dir=os.path.dirname(fh.name)))
+                  for fh in files] for _ in range(1, workers)]
+        children = []
         try:
             for b, block in enumerate(parts, 1):
-                children.append(_fork_writer(block, texts(bounds[b], bounds[b + 1])))
-            _write_block(paths, texts(0, bounds[1]))
+                children.append(_fork_writer(block, texts(bounds[b], bounds[b + 1]), files))
+            _write(files, texts(0, bounds[1]), files)
         finally:  # every child is reaped, whatever the parent met
-            errors = [e for e in (_reap(pid, read, paths) for pid, read in children) if e]
+            errors = [e for e in (_reap(pid, read, files) for pid, read in children) if e]
         if errors:
             raise errors[0]
-        for k, path in enumerate(paths):
-            with _naming(path), open(path, "ab") as fh:
-                for block in parts:
-                    with open(block[k], "rb") as part:
-                        shutil.copyfileobj(part, fh)
-    finally:
-        for part in itertools.chain.from_iterable(parts):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(part)
+        _write(files, (), files, parts)
 
 
 @functools.lru_cache(maxsize=1)
@@ -377,10 +367,8 @@ def _time_fields(grid: TimeGrid) -> tuple[str, ...]:
 def write_path_csv(path: SamplePath, fh: IO[str]) -> None:
     """Write a 't,value' path CSV, the table `_write_csv` writes from the two columns."""
     times = _time_fields(path.grid)
-    fh.write("t,value\r\n")
-    for i in range(0, len(times), _CHUNK_ROWS):
-        _write_lines(fh, [times[i:i + _CHUNK_ROWS],
-                          map(repr, path.values[i:i + _CHUNK_ROWS].tolist())])
+    _write_tables([fh], ["t,value\r\n"], len(times),
+                  lambda i, j: (_lines(times[i:j], map(repr, path.values[i:j].tolist())),))
 
 
 def read_path_csv(fh: IO[str]) -> SamplePath:

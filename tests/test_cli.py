@@ -401,9 +401,9 @@ def test_json_artefacts_are_strict_json(runner, tmp_path, args):
 
 
 def force_writers(monkeypatch, workers: int, chunk_rows: int | None = None) -> list:
-    """Have the figure writer cut its rows into as many as `workers` blocks,
-    whatever the CPUs and however few the rows; return the list of the part
-    files of each forked writer, filled as they start."""
+    """Have the table writer cut its rows into as many as `workers` blocks,
+    whatever the CPUs and however few the rows; return the list of the
+    temporary files of each forked writer, filled as they start."""
     if workers > 1 and not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     monkeypatch.setattr(stochastic, "_cpu_count", lambda: workers)
@@ -413,9 +413,9 @@ def force_writers(monkeypatch, workers: int, chunk_rows: int | None = None) -> l
     forked = []
     fork_writer = stochastic._fork_writer
 
-    def spy(paths, texts):
-        forked.append(paths)
-        return fork_writer(paths, texts)
+    def spy(files, texts, finals):
+        forked.append(files)
+        return fork_writer(files, texts, finals)
     monkeypatch.setattr(stochastic, "_fork_writer", spy)
     return forked
 
@@ -539,7 +539,9 @@ class TestArtefactFormat:
             (t[[k - 1 for k in edges]] + t[edges]) / 2,
             t[5] + (t[6] - t[5]) * np.array([1 / 3, 2 / 3])))) if marked else np.array([])
         names = ("fig1_price.csv", "fig2_zprocess.csv")
-        cli._figures(t, price, z, taus)[names](*(tmp_path / name for name in names))
+        with open(tmp_path / names[0], "w", newline="") as fig1, \
+                open(tmp_path / names[1], "w", newline="") as fig2:
+            cli._figures(t, price, z, taus)[names](fig1, fig2)
         assert len(forked) == min(workers, -(-rows // chunk)) - 1
         assert (tmp_path / names[0]).read_bytes() == expected_csv(
             ["t", "price"], floats(t), floats(price))
@@ -547,15 +549,26 @@ class TestArtefactFormat:
         assert_writers_gone(tmp_path)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("link, failed", [("fig1_price.csv", "fig1_price.csv"),
-                                              ("fig2_zprocess.csv.part1", "fig2_zprocess.csv")],
+    @pytest.mark.parametrize("failed", ["fig1_price.csv", "fig2_zprocess.csv"],
                              ids=["parent", "child"])
-    def test_failed_figure_write_is_usage_error(self, runner, tmp_path, monkeypatch, link,
-                                                 failed):
+    def test_failed_figure_write_is_usage_error(self, runner, tmp_path, monkeypatch, failed):
+        """A write to /dev/full fails with ENOSPC: the parent's fig1_price.csv,
+        or the temporary file of the child's block of fig2_zprocess.csv."""
         force_writers(monkeypatch, 2)
         out = tmp_path / "o"
         out.mkdir()
-        (out / link).symlink_to("/dev/full")  # every write to it fails with ENOSPC
+        if failed == "fig1_price.csv":
+            (out / failed).symlink_to("/dev/full")
+        else:
+            made = []
+            temporary_file = tempfile.TemporaryFile
+
+            def full_for_fig2(*args, **kwargs):  # fig2's is the second temporary file made
+                made.append(None)
+                if len(made) == 2:
+                    return open("/dev/full", "w+", newline="")
+                return temporary_file(*args, **kwargs)
+            monkeypatch.setattr(stochastic.tempfile, "TemporaryFile", full_for_fig2)
         result = runner.invoke(main, ["--seed", "2", "--out", str(out), "trade",
                                       "--dt", "0.0001"])
         assert result.exit_code == 2, result.output

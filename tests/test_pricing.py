@@ -176,6 +176,8 @@ class TestDeriveCoefficients:
             ({"mu": 1e100}, r"mu = 1e\+100, .* outside the float range"),
             ({"z": 1e-300}, r"z = 1e-300 put the pricing coefficients outside the float range"),
             ({"r": 1e-300}, r"r = 1e-300 and z = 0.05 put the pricing coefficients outside"),
+            # y = T^beta z - q (wT - delta) overflows with wT's term
+            ({"wT": 1e308}, r"wT = 1e\+308, .* outside the float range"),
         ],
     )
     def test_domain_gates(self, overrides, message):
@@ -216,6 +218,11 @@ class TestPriceErgodicBs:
         ]
         assert prices[0] < prices[1] < prices[2]
 
+    def test_underflowing_moneyness_names_x(self):
+        # X / ln K underflows to 0 before its log
+        with pytest.raises(ValueError, match=r"X = 5e-324 over ln K = .* underflows to 0"):
+            price_ergodic_bs(base_inputs(X=5e-324))
+
 
 class TestHeatKernel:
     def test_standard_peak(self):
@@ -240,6 +247,10 @@ class TestHeatKernel:
     def test_infinite_time_or_diffusivity_rejected(self, tau, eta, name):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             heat_kernel(0.0, tau, eta)
+
+    def test_underflowing_variance_rejected(self):
+        with pytest.raises(ValueError, match="tau = 5e-324 times eta = 0.5 underflows to 0"):
+            heat_kernel(np.array([0.0, 1.0]), 5e-324, 0.5)
 
 
 def gaussian_problem(eta=0.8, tau=0.4, s=0.5, half_width=12.0, n=1601) -> HeatProblem:

@@ -65,6 +65,14 @@ class TestBirkhoffAverage:
         assert avg == pytest.approx(0.37, abs=1e-3)
         assert phi.integral == 0.37
 
+    @pytest.mark.parametrize("coeffs, name", [({"c0": math.nan}, "c0"),
+                                              ({"cos_coeffs": (0.9, math.inf)}, r"cos_coeffs\[1\]"),
+                                              ({"sin_coeffs": (-math.inf,)}, r"sin_coeffs\[0\]")],
+                             ids=["c0", "cos", "sin"])
+    def test_non_finite_coefficient_rejected(self, coeffs, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrigPolynomial(**{"c0": 0.37, **coeffs})
+
     # 2 * 0.5 is an integer; next to an integer, sin(pi m theta) is tiny or subnormal
     @pytest.mark.parametrize("theta", [0.5, 5e-324, -5e-324, 1e-20, 1 - 2**-53, 0.5 + 2**-50])
     def test_near_rational_angle_matches_exact_orbit(self, theta):

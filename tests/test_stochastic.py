@@ -21,6 +21,7 @@ from logergodic import (
     simulate_wiener,
 )
 from logergodic.cli import _table
+from test_cli import assert_writers_gone, force_writers
 from logergodic.stochastic import (
     _CHUNK_ROWS,
     _write_csv,
@@ -350,6 +351,26 @@ class TestSerialization:
             write_path_csv(path, buf)
             assert buf.getvalue() == csv_writer_text(["t", "value"], [grid.times(), path.values])
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_tables_in_files_do_not_depend_on_writers(self, tmp_path, monkeypatch, workers):
+        """A path CSV and a numeric table written to files, their rows split
+        across as many as `workers` writers, keep the bytes of csv.writer."""
+        forked = force_writers(monkeypatch, workers, chunk_rows=100)
+        grid = TimeGrid(T=1.0, dt=1e-3)  # 1001 rows: eleven chunks
+        path = simulate_gbm(GbmParams(mu=0.1, sigma=0.2, s0=100.0), simulate_wiener(grid, 3))
+        rng = np.random.default_rng(workers)
+        columns = {"t": random_column(rng, "float", 1001), "mark": random_column(rng, "int", 1001)}
+        with open(tmp_path / "path.csv", "w", newline="") as fh:
+            write_path_csv(path, fh)
+        with open(tmp_path / "fig.csv", "w", newline="") as fh:
+            _table("fig", columns, "csv")["fig.csv"](fh)
+        assert len(forked) == 2 * (workers - 1)
+        assert (tmp_path / "path.csv").read_bytes() == csv_writer_text(
+            ["t", "value"], [grid.times(), path.values]).encode()
+        assert (tmp_path / "fig.csv").read_bytes() == csv_writer_text(
+            list(columns), list(columns.values())).encode()
+        assert_writers_gone(tmp_path)
+
     @pytest.mark.parametrize(
         "text, outcome",
         [
@@ -465,7 +486,8 @@ class TestSerialization:
         # two float columns are 3.2 MB; a list of Python row tuples takes ~28 MB
         assert peak < 10e6
 
-    def test_writing_is_bounded_in_memory(self):
+    def test_writing_is_bounded_in_memory(self, monkeypatch):
+        forked = force_writers(monkeypatch, 3)  # a stream with no path is written serially
         n = 200_000
         columns = {"t": np.linspace(0.0, 1.0, n), "z": np.sin(np.arange(n) * 0.1),
                    "mark": np.arange(n) % 2}
@@ -480,6 +502,7 @@ class TestSerialization:
         # beyond the text written, at most one chunk of Python floats, their
         # strings and lines (~100 bytes per field), not a list of every row
         assert peak - current < _CHUNK_ROWS * len(columns) * 200
+        assert forked == []
 
     def test_header_contents(self):
         grid = TimeGrid(T=1.0, dt=0.25)
