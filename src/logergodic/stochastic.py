@@ -11,9 +11,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import math
 import os
 import shutil
+import stat
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -225,11 +227,9 @@ def _write_csv(fh: IO[str], header: list[str], columns) -> None:
     """Write one CSV table, its header first, from its columns to an open text file.
 
     The bytes are those of `csv.writer`: CRLF line ends, floats as `repr`,
-    ints in decimal, other fields quoted as QUOTE_MINIMAL.  When every column
-    is an int or float array, `_write_tables` writes the rows and the header
-    is joined directly, since such fields, and the column names the program
-    gives, never need quoting; any other table, with a string, bool, None or
-    iterator column, goes through `csv.writer`.
+    ints in decimal, other fields quoted as QUOTE_MINIMAL.  A table of int
+    and float arrays, whose fields and header never need quoting, goes
+    through `_write_tables`; any other table through `csv.writer`.
     """
     columns = list(columns)
     if all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns):
@@ -241,14 +241,14 @@ def _write_csv(fh: IO[str], header: list[str], columns) -> None:
     writer.writerows(_rows(columns))
 
 
-# the fewest rows a forked writer takes.  trade's figure tables, 2 blocks
-# against 1, on a 2-vCPU KVM guest with a 100 MB parent: 2 x 4096 rows took
-# 23 ms against 18, 2 x 8192 27 against 33, 2 x 16384 35 against 60
+# the fewest rows a forked writer takes.  2 blocks against 1 on a 2-vCPU KVM
+# guest: trade's figure tables (100 MB parent), 2 x 4096 rows 23 ms against 18,
+# 2 x 8192 27 against 33; a path CSV beside 99 others, 32769 rows 32 against 39
 _FORK_MIN_ROWS = 4 * _CHUNK_ROWS
 
 
 def _cpu_count() -> int:
-    """The CPUs this process may run on, or 1 where the platform does not say."""
+    """The CPUs this process may run on and fork to, or 1 where the platform does not say."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -290,20 +290,18 @@ def _fork_writer(files, texts, finals) -> tuple[int, int]:
     if pid:
         os.close(write)
         return pid, read
-    status = 1
     try:  # the child never returns: os._exit skips the parent's buffers and handlers
         os.close(read)
         _write(files, texts, finals)
-        status = 0
+        os._exit(0)
     except OSError as e:
         os.write(write, f"{e.errno}\0{e.strerror}\0{e.filename}".encode())
     finally:
-        os._exit(status)
+        os._exit(1)
 
 
 def _reap(pid: int, read: int, finals) -> OSError | None:
-    """Wait for a child of _fork_writer; return its failure, which names one
-    of the files `finals`, or None."""
+    """Wait for a child of _fork_writer; return its OSError, naming a file of `finals`, or None."""
     with open(read, "rb") as fh:
         report = fh.read()  # ends when the child exits
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -314,42 +312,49 @@ def _reap(pid: int, read: int, finals) -> OSError | None:
             if status else None)
 
 
+def _at_path(fh) -> bool:
+    """Whether the open file fh is a regular file that its name, a str, names:
+    not a stream such as io.StringIO, sys.stdout ('<stdout>') or a pipe."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        st = os.fstat(fh.fileno())
+        return isinstance(fh.name, str) and stat.S_ISREG(st.st_mode) and os.path.samestat(
+            st, os.stat(fh.name))
+    return False
+
+
 def _write_tables(files, headers, n_rows: int, chunk) -> None:
     """Write tables of n_rows rows, one to each open text file of `files`:
     file k gets headers[k], then chunk(i, j)[k], the text of rows i to j - 1,
-    for each _CHUNK_ROWS rows in order.  An OSError names the file of
-    `files` it met.
+    for each _CHUNK_ROWS rows in order.  An OSError names the file it met.
 
-    When every file has a path, the rows are cut into contiguous
-    chunk-aligned blocks, one per CPU that this process may use while each
-    block keeps _FORK_MIN_ROWS rows.  Each block after the first is written
-    by a forked child into unnamed temporary files, opened before the fork
-    in the directories of the final ones; the parent writes block 0, reaps
-    every child and appends their files in order.  With one block, the
-    parent writes every row.  The bytes do not depend on the number of
-    blocks.
+    The rows are cut into contiguous chunk-aligned blocks, one per CPU that
+    this process may use while each keeps _FORK_MIN_ROWS rows.  Each block
+    after the first is written by a forked child into unnamed temporary
+    files beside the final ones, opened before the fork, that the parent
+    appends after its own block; there is one block unless each file is
+    _at_path and its directory takes them.  The bytes do not depend on it.
     """
     n_chunks = -(-n_rows // _CHUNK_ROWS)
-    named = all(isinstance(getattr(fh, "name", None), str) for fh in files)
-    workers = max(1, min(_cpu_count() if named and hasattr(os, "fork") else 1, n_chunks,
-                         n_rows // _FORK_MIN_ROWS))
-    bounds = [min(n_rows, b * n_chunks // workers * _CHUNK_ROWS) for b in range(workers + 1)]
+    workers = min(_cpu_count(), n_chunks, n_rows // _FORK_MIN_ROWS)
 
     def texts(start, stop):
-        if start == 0:
-            yield headers
         for i in range(start, stop, _CHUNK_ROWS):
             yield chunk(i, min(i + _CHUNK_ROWS, stop))
 
     with contextlib.ExitStack() as stack:  # closing a temporary file deletes it
-        parts = [[stack.enter_context(tempfile.TemporaryFile(
-                      "w+", encoding=fh.encoding, newline="", dir=os.path.dirname(fh.name)))
-                  for fh in files] for _ in range(1, workers)]
+        parts = []  # the temporary files of each block after the first
+        with contextlib.suppress(OSError):  # such as a writable file in a read-only directory
+            for _ in range(1, workers if workers > 1 and all(map(_at_path, files)) else 1):
+                parts.append([stack.enter_context(tempfile.TemporaryFile(
+                    "w+", encoding=fh.encoding, newline="", dir=os.path.dirname(fh.name)))
+                    for fh in files])
+        bounds = [min(n_rows, b * n_chunks // (len(parts) + 1) * _CHUNK_ROWS)
+                  for b in range(len(parts) + 2)]
         children = []
         try:
             for b, block in enumerate(parts, 1):
                 children.append(_fork_writer(block, texts(bounds[b], bounds[b + 1]), files))
-            _write(files, texts(0, bounds[1]), files)
+            _write(files, itertools.chain([headers], texts(0, bounds[1])), files)
         finally:  # every child is reaped, whatever the parent met
             errors = [e for e in (_reap(pid, read, files) for pid, read in children) if e]
         if errors:

@@ -400,31 +400,9 @@ def test_json_artefacts_are_strict_json(runner, tmp_path, args):
         json.loads((out / name).read_text(), parse_constant=_reject_constant)
 
 
-def force_writers(monkeypatch, workers: int, chunk_rows: int | None = None) -> list:
-    """Have the table writer cut its rows into as many as `workers` blocks,
-    whatever the CPUs and however few the rows; return the list of the
-    temporary files of each forked writer, filled as they start."""
-    if workers > 1 and not hasattr(os, "fork"):
-        pytest.skip("needs os.fork")
-    monkeypatch.setattr(stochastic, "_cpu_count", lambda: workers)
-    monkeypatch.setattr(stochastic, "_FORK_MIN_ROWS", 1)
-    if chunk_rows:
-        monkeypatch.setattr(stochastic, "_CHUNK_ROWS", chunk_rows)
-    forked = []
-    fork_writer = stochastic._fork_writer
-
-    def spy(files, texts, finals):
-        forked.append(files)
-        return fork_writer(files, texts, finals)
-    monkeypatch.setattr(stochastic, "_fork_writer", spy)
-    return forked
-
-
-def assert_writers_gone(out: Path) -> None:
-    """No part file is left in out, and no child process is left unreaped."""
-    assert not list(out.glob("*.part*"))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+# the files of a trade run, and those written when its figure tables fail
+TRADE_OUTPUTS = ["bound_report.csv", "fig1_price.csv", "fig2_zprocess.csv", "manifest.json",
+                 "signals.csv", "summary.json"]
 
 
 class TestArtefactFormat:
@@ -488,9 +466,9 @@ class TestArtefactFormat:
             t, z.values, taus)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_trade_figures_do_not_depend_on_writers(self, runner, tmp_path, monkeypatch,
-                                                     workers):
-        forked = force_writers(monkeypatch, workers)
+    def test_trade_figures_do_not_depend_on_writers(self, runner, tmp_path, force_writers,
+                                                     assert_writers_gone, workers):
+        forked = force_writers(workers)
         grid = TimeGrid(T=1.0, dt=1e-4)  # 10001 rows: three chunks
         w = simulate_wiener(grid, path_seed(2, 0))
         price = simulate_gbm(self.params, w)
@@ -504,30 +482,31 @@ class TestArtefactFormat:
             ["t", "price"], floats(grid.times()), floats(price.values))
         assert (tmp_path / "fig2_zprocess.csv").read_bytes() == fig2_bytes(
             grid.times(), z.values, detect_recurrences(z).taus)
-        assert_writers_gone(tmp_path)
+        assert_writers_gone(tmp_path, TRADE_OUTPUTS)
 
     def test_trade_figure_marks_at_equal_times_on_block_edges(self, runner, tmp_path,
-                                                              monkeypatch):
+                                                              force_writers, assert_writers_gone):
         # with 100-row chunks and three writers the blocks are rows 0-99,
         # 100-199 and 200: the tied recurrences at t = 0, 0.5 and 1 follow
         # the first row of each block, and t = 1 is a block of one row
-        forked = force_writers(monkeypatch, 3, chunk_rows=100)
+        forked = force_writers(3, chunk_rows=100)
         src, t, z, taus = self.tie_input(tmp_path)
         result = runner.invoke(main, ["--out", str(tmp_path / "o"), "trade", "--input", str(src)])
         assert result.exit_code == 0, result.output
         assert len(forked) == 2
         assert (tmp_path / "o" / "fig2_zprocess.csv").read_bytes() == fig2_bytes(
             t, z.values, taus)
-        assert_writers_gone(tmp_path / "o")
+        assert_writers_gone(tmp_path / "o", TRADE_OUTPUTS)
 
     @pytest.mark.parametrize("marked", [True, False], ids=["markers", "no_recurrence"])
     @pytest.mark.parametrize("rows", [2 * stochastic._CHUNK_ROWS + d for d in (-1, 0, 1)])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_figure_markers_on_block_edges(self, tmp_path, monkeypatch, workers, rows, marked):
+    def test_figure_markers_on_block_edges(self, tmp_path, force_writers, assert_writers_gone,
+                                           workers, rows, marked):
         """Blocks of _CHUNK_ROWS and _CHUNK_ROWS +- 1 rows, with markers at
         t = 0, at t = T, tied with the first and the last row of each chunk,
         between two blocks, and two after one grid row."""
-        forked = force_writers(monkeypatch, workers)
+        forked = force_writers(workers)
         chunk = stochastic._CHUNK_ROWS
         rng = np.random.default_rng(rows)
         t = np.linspace(0.0, 1.0, rows)
@@ -546,15 +525,16 @@ class TestArtefactFormat:
         assert (tmp_path / names[0]).read_bytes() == expected_csv(
             ["t", "price"], floats(t), floats(price))
         assert (tmp_path / names[1]).read_bytes() == fig2_bytes(t, z, taus)
-        assert_writers_gone(tmp_path)
+        assert_writers_gone(tmp_path, names)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("failed", ["fig1_price.csv", "fig2_zprocess.csv"],
                              ids=["parent", "child"])
-    def test_failed_figure_write_is_usage_error(self, runner, tmp_path, monkeypatch, failed):
+    def test_failed_figure_write_is_usage_error(self, runner, tmp_path, monkeypatch,
+                                                force_writers, assert_writers_gone, failed):
         """A write to /dev/full fails with ENOSPC: the parent's fig1_price.csv,
         or the temporary file of the child's block of fig2_zprocess.csv."""
-        force_writers(monkeypatch, 2)
+        force_writers(2)
         out = tmp_path / "o"
         out.mkdir()
         if failed == "fig1_price.csv":
@@ -575,7 +555,7 @@ class TestArtefactFormat:
         assert result.output.splitlines()[-1] == (
             f"Error: cannot write {out / failed}: No space left on device")
         assert "excursion(s)" not in result.output
-        assert_writers_gone(out)
+        assert_writers_gone(out, set(TRADE_OUTPUTS) - {"manifest.json"})
 
     def test_table_with_no_rows_keeps_its_header(self, runner, tmp_path):
         result = runner.invoke(main, ["--out", str(tmp_path), "trade"])  # seed 0: no excursion

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import re
 import tracemalloc
 
@@ -19,9 +20,9 @@ from logergodic import (
     path_seed,
     simulate_gbm,
     simulate_wiener,
+    stochastic,
 )
 from logergodic.cli import _table
-from test_cli import assert_writers_gone, force_writers
 from logergodic.stochastic import (
     _CHUNK_ROWS,
     _write_csv,
@@ -352,10 +353,11 @@ class TestSerialization:
             assert buf.getvalue() == csv_writer_text(["t", "value"], [grid.times(), path.values])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_tables_in_files_do_not_depend_on_writers(self, tmp_path, monkeypatch, workers):
+    def test_tables_in_files_do_not_depend_on_writers(self, tmp_path, force_writers,
+                                                      assert_writers_gone, workers):
         """A path CSV and a numeric table written to files, their rows split
         across as many as `workers` writers, keep the bytes of csv.writer."""
-        forked = force_writers(monkeypatch, workers, chunk_rows=100)
+        forked = force_writers(workers, chunk_rows=100)
         grid = TimeGrid(T=1.0, dt=1e-3)  # 1001 rows: eleven chunks
         path = simulate_gbm(GbmParams(mu=0.1, sigma=0.2, s0=100.0), simulate_wiener(grid, 3))
         rng = np.random.default_rng(workers)
@@ -369,7 +371,40 @@ class TestSerialization:
             ["t", "value"], [grid.times(), path.values]).encode()
         assert (tmp_path / "fig.csv").read_bytes() == csv_writer_text(
             list(columns), list(columns.values())).encode()
-        assert_writers_gone(tmp_path)
+        assert_writers_gone(tmp_path, ["fig.csv", "path.csv"])
+
+    @pytest.mark.parametrize("where", ["stdout", "read_only_directory", "refused"])
+    def test_tables_with_no_temporary_files_are_written_serially(
+            self, tmp_path, monkeypatch, force_writers, assert_writers_gone, where):
+        """A path CSV of 2 x 16384 rows is written by one process, with the
+        bytes of csv.writer, to a file that its name does not name, such as
+        sys.stdout ('<stdout>'), or to a writable file in a directory that
+        takes no temporary file: read-only, or refusing them outright."""
+        forked = force_writers(2)
+        grid = TimeGrid(T=1.0, dt=1.0 / (2 * 16384))
+        path = simulate_gbm(GbmParams(mu=0.1, sigma=0.2, s0=100.0), simulate_wiener(grid, 4))
+        target = tmp_path / "path.csv"
+        target.touch()
+        monkeypatch.chdir(tmp_path)  # where a temporary file beside '<stdout>' would go
+        if where == "read_only_directory":
+            if os.geteuid() == 0:
+                pytest.skip("root may write into a read-only directory")
+            tmp_path.chmod(0o555)
+        elif where == "refused":
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(tmp_path))
+            monkeypatch.setattr(stochastic.tempfile, "TemporaryFile", refuse)
+        try:
+            with open(target, "w", newline="") as fh:
+                if where == "stdout":
+                    fh.buffer.raw.name = "<stdout>"
+                write_path_csv(path, fh)
+        finally:
+            tmp_path.chmod(0o755)
+        assert forked == []
+        assert target.read_bytes() == csv_writer_text(
+            ["t", "value"], [grid.times(), path.values]).encode()
+        assert_writers_gone(tmp_path, ["path.csv"])
 
     @pytest.mark.parametrize(
         "text, outcome",
@@ -486,8 +521,8 @@ class TestSerialization:
         # two float columns are 3.2 MB; a list of Python row tuples takes ~28 MB
         assert peak < 10e6
 
-    def test_writing_is_bounded_in_memory(self, monkeypatch):
-        forked = force_writers(monkeypatch, 3)  # a stream with no path is written serially
+    def test_writing_is_bounded_in_memory(self, force_writers):
+        forked = force_writers(3)  # a stream with no path is written serially
         n = 200_000
         columns = {"t": np.linspace(0.0, 1.0, n), "z": np.sin(np.arange(n) * 0.1),
                    "mark": np.arange(n) % 2}
